@@ -26,7 +26,7 @@ from .biasedlift import (
     verify_sk_excluded_minor,
 )
 from .gamma import gamma_csv, gamma_pk_table, gamma_sk_table, slope_fit
-from .kernel import MatroidError, matroid_from_json, matroid_to_json
+from .kernel import MatroidError, OutOfRange, matroid_from_json, matroid_to_json
 from .sparsepaving import (
     census_csv,
     census_pk,
@@ -56,12 +56,35 @@ def _range_arg(text: str) -> range:
     return range(lo_i, hi_i + 1)
 
 
-def _element_mask(text: str) -> int:
+class BadElementList(MatroidError):
+    """An element list is not comma-separated integers."""
+
+
+class UnreadableFile(MatroidError):
+    """An input file could not be read as text."""
+
+
+def _element_mask(text: str, n: int) -> int:
     mask = 0
     if text:
         for part in text.split(","):
-            mask |= 1 << int(part)
+            try:
+                e = int(part)
+            except ValueError:
+                raise BadElementList(
+                    f"expected comma-separated elements, got {text!r}"
+                ) from None
+            if not 0 <= e < n:
+                raise OutOfRange(f"element {e} outside ground set of size {n}")
+            mask |= 1 << e
     return mask
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc}") from exc
 
 
 def _picks_arg(text: str) -> list[str]:
@@ -83,27 +106,27 @@ def _print_json(doc: dict) -> None:
 
 
 def _run_matroid_validate(args) -> int:
-    m = matroid_from_json(Path(args.file).read_text(encoding="utf-8"))
+    m = matroid_from_json(_read(args.file))
     _print_json({"ok": True, "n": m.n, "rank": m.r, "bases": len(m.bases)})
     return 0
 
 
 def _run_matroid_iso(args) -> int:
-    a = matroid_from_json(Path(args.a).read_text(encoding="utf-8"))
-    b = matroid_from_json(Path(args.b).read_text(encoding="utf-8"))
+    a = matroid_from_json(_read(args.a))
+    b = matroid_from_json(_read(args.b))
     _print_json({"isomorphic": a.is_isomorphic(b)})
     return 0
 
 
 def _run_matroid_minor(args) -> int:
-    m = matroid_from_json(Path(args.file).read_text(encoding="utf-8"))
-    got = m.minor(_element_mask(args.delete), _element_mask(args.contract))
+    m = matroid_from_json(_read(args.file))
+    got = m.minor(_element_mask(args.delete, m.n), _element_mask(args.contract, m.n))
     _emit(matroid_to_json(got), args.out)
     return 0
 
 
 def _run_matroid_dual(args) -> int:
-    m = matroid_from_json(Path(args.file).read_text(encoding="utf-8"))
+    m = matroid_from_json(_read(args.file))
     _emit(matroid_to_json(m.dual()), args.out)
     return 0
 
@@ -133,7 +156,7 @@ def _run_spike_build(args) -> int:
 
 
 def _run_spike_verify(args) -> int:
-    spec = spikespec_from_json(Path(args.file).read_text(encoding="utf-8"))
+    spec = spikespec_from_json(_read(args.file))
     mode = args.mode
     ok = verify_sk_excluded_minor(spec, args.k, mode=mode)
     if mode == "auto":

@@ -156,8 +156,8 @@ def ch_to_matroid(f: CHFamily) -> Matroid:
 
     Family validity already guarantees the exchange axiom (non-bases
     pairwise differing in more than one element is exactly the sparse
-    paving condition), so construction skips the quadratic exchange
-    gate; tests cross-check against make_matroid at small sizes.
+    paving condition), so construction skips the exchange gate; tests
+    cross-check against make_matroid at small sizes.
     """
     validate_chfamily(f)
     if f.n > MAX_GROUND:

@@ -94,6 +94,36 @@ def test_malformed_documents_exit_cleanly(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "MalformedDocument"
     assert main(["spike", "verify", "--file", str(bad), "--k", "2"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "MalformedDocument"
+    bad.write_text(
+        '{"n": 4, "rank": 2, "bases": [[0, 0, 1], [0, 2], [1, 2]]}', encoding="utf-8"
+    )
+    assert main(["matroid", "validate", "--file", str(bad)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "MalformedDocument"
+
+
+def _exit_one(argv, capsys) -> str:
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return json.loads(captured.err)["error"]
+
+
+def test_bad_element_lists_exit_cleanly(u24_file, capsys):
+    argv = ["matroid", "minor", "--file", u24_file]
+    assert _exit_one(argv + ["--delete", "x"], capsys) == "BadElementList"
+    assert _exit_one(argv + ["--delete", "-1"], capsys) == "OutOfRange"
+    assert _exit_one(argv + ["--contract", "4"], capsys) == "OutOfRange"
+
+
+def test_missing_files_exit_cleanly(u24_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    argv = ["matroid", "validate", "--file", missing]
+    assert _exit_one(argv, capsys) == "UnreadableFile"
+    argv = ["matroid", "iso", "--a", missing, "--b", u24_file]
+    assert _exit_one(argv, capsys) == "UnreadableFile"
+    argv = ["matroid", "iso", "--a", u24_file, "--b", missing]
+    assert _exit_one(argv, capsys) == "UnreadableFile"
 
 
 def test_spike_verify_exit_codes(tmp_path, capsys):

@@ -28,7 +28,6 @@ from fractalcensus.kernel import (
     SizeOverflow,
     direct_sum,
     is_excluded_minor,
-    isomorphism_scan,
     make_matroid,
     matroid_from_json,
     matroid_to_json,
@@ -88,13 +87,24 @@ def _brute_cyclic_flats(n: int, bases) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _brute_exchange_ok(bases) -> bool:
+def _brute_exchange_witness(bases) -> tuple[int, int, int] | None:
+    # pairwise scan over sorted bases: the first (b1, b2, x) with no exchange
+    bases = sorted(set(bases))
+    bset = set(bases)
     for b1 in bases:
         for b2 in bases:
             for x in bits(b1 & ~b2):
-                if not any((b1 ^ (1 << x)) | (1 << y) in bases for y in bits(b2 & ~b1)):
-                    return False
-    return True
+                if not any((b1 ^ (1 << x)) | (1 << y) in bset for y in bits(b2 & ~b1)):
+                    return b1, b2, x
+    return None
+
+
+def _gate_witness(n: int, bases) -> tuple[int, int, int] | None:
+    try:
+        make_matroid(n, bases)
+    except ExchangeViolation as err:
+        return err.b1, err.b2, err.x
+    return None
 
 
 def _perm_scan(m1: Matroid, m2: Matroid) -> bool:
@@ -145,9 +155,27 @@ def test_make_matroid_exchange_violation_witness():
 
 def test_make_matroid_four_bases_of_six_accepted():
     bases = [b for b in subset_masks(4, 2) if b not in (0b0011, 0b1100)]
-    assert _brute_exchange_ok(set(bases))
+    assert _brute_exchange_witness(bases) is None
     m = make_matroid(4, bases)
     assert len(m.bases) == 4
+
+
+def test_exchange_gate_matches_scan_exhaustively():
+    # every nonempty family of r-subsets on at most 5 elements
+    rejected = 0
+    for n in range(6):
+        for r in range(n + 1):
+            cand = subset_masks(n, r)
+            for pick in range(1, 1 << len(cand)):
+                fam = [b for i, b in enumerate(cand) if pick >> i & 1]
+                want = _brute_exchange_witness(fam)
+                assert _gate_witness(n, fam) == want
+                rejected += want is not None
+    assert rejected == 1731
+
+
+def test_make_matroid_keeps_rank_table():
+    assert "tab" in make_matroid(5, subset_masks(5, 2))._cache
 
 
 def test_make_matroid_rejects_empty_and_mixed():
@@ -176,7 +204,7 @@ def test_direct_sum():
     assert len(m.bases) == 4
     m = direct_sum(uniform(0, 1), uniform(2, 4))
     assert (m.n, m.r, len(m.bases)) == (5, 2, 6)
-    assert _brute_exchange_ok(set(m.bases))
+    assert _brute_exchange_witness(m.bases) is None
 
 
 # --------------------------------------------------------------- queries
@@ -304,7 +332,6 @@ def test_is_isomorphic_frozen():
 def test_isomorphism_scan_agrees_with_oracle():
     m1 = _sp_matroid(5, 2, [(0, 1), (2, 3)])
     m2 = _sp_matroid(5, 2, [(1, 2), (3, 4)])
-    assert isomorphism_scan(m1, m2) == _perm_scan(m1, m2)
     assert m1.is_isomorphic(m2) == _perm_scan(m1, m2)
 
 
@@ -417,7 +444,7 @@ def test_cyclic_flat_reconstruction(m: Matroid):
 def test_iso_matches_unpruned_scan(m: Matroid, perm: list[int]):
     other = relabel(m, perm[: m.n]) if sorted(perm[: m.n]) == list(range(m.n)) else m
     assert m.is_isomorphic(other)
-    assert isomorphism_scan(m, other)
+    assert _perm_scan(m, other)
 
 
 @settings(max_examples=25)
@@ -425,8 +452,7 @@ def test_iso_matches_unpruned_scan(m: Matroid, perm: list[int]):
 def test_iso_pairs_match_unpruned_scan(m1: Matroid, m2: Matroid):
     if max(m1.n, m2.n) > 6:
         return
-    assert m1.is_isomorphic(m2) == isomorphism_scan(m1, m2)
-    assert isomorphism_scan(m1, m2) == _perm_scan(m1, m2)
+    assert m1.is_isomorphic(m2) == _perm_scan(m1, m2)
 
 
 @settings(max_examples=60)
@@ -454,3 +480,28 @@ def test_cocircuits_are_hyperplane_complements(m: Matroid):
     full = m.full_mask
     cocircuits = sorted(full & ~h for h in m.hyperplanes())
     assert list(m.dual().circuits()) == cocircuits
+
+
+@st.composite
+def equicardinal_families(draw) -> tuple[int, list[int]]:
+    # random families of r-subsets with 2 <= r <= n - 2 (every family of
+    # 1-sets or of (n-1)-sets is a matroid), most of them failing exchange
+    n = draw(st.integers(min_value=4, max_value=8))
+    r = draw(st.integers(min_value=2, max_value=n - 2))
+    cand = subset_masks(n, r)
+    keep = draw(st.lists(st.booleans(), min_size=len(cand), max_size=len(cand)))
+    fam = [b for b, k in zip(cand, keep) if k]
+    return n, fam or cand[:1]
+
+
+@settings(max_examples=300)
+@given(equicardinal_families())
+def test_exchange_gate_matches_scan(case):
+    n, fam = case
+    assert _gate_witness(n, fam) == _brute_exchange_witness(fam)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_exchange_gate_rank_edges(n):
+    for r in (0, n):
+        assert make_matroid(n, subset_masks(n, r)) == uniform(r, n)
