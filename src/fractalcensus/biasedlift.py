@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -43,7 +42,11 @@ from .sparsepaving import (
     CompositionSolution,
     NotASolution,
     TooSmall,
-    _canonical_cells,
+    _allocate,
+    _composition_count,
+    _compositions,
+    _lexmin,
+    _lexmin_classes,
 )
 
 SINGLE = "single"
@@ -513,23 +516,14 @@ def glance_signature(desc) -> GlanceKey:
     # two distance-two picks force t >= 2, so the loops-only corner with
     # p >= 1 and t = 0 cannot arise here
     assert t >= 2
-    ncells = 1 << (m - 1)
-    best = None
-    for last in range(m):
-        others = [i for i in range(m) if i != last]
-        cells = [0] * ncells
-        for j in range(t):
-            side = picks[last] >> j & 1
-            pattern = 0
-            for pos, i in enumerate(others):
-                if picks[i] >> j & 1 == side:
-                    pattern |= 1 << pos
-            cells[pattern] += 1
-        cells[ncells - 1] += s
-        cand = _canonical_cells(tuple(cells), m - 1)
-        if best is None or cand < best:
-            best = cand
-    return GlanceKey(p, s, best)
+    # cell I counts the pairs where exactly the picks in I agree with the
+    # last pick; thins agree everywhere
+    cells = [0] * (1 << (m - 1))
+    for j in range(t):
+        side = picks[-1] >> j & 1
+        cells[sum(1 << i for i in range(m - 1) if picks[i] >> j & 1 == side)] += 1
+    cells[-1] += s
+    return GlanceKey(p, s, _lexmin(cells, _trun_perm_maps(m)))
 
 
 def glance_isomorphic(d1, d2) -> bool:
@@ -645,34 +639,14 @@ def _trun_orbits(t: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Canonical trun cell vectors with total t over subsets of m-1 indices."""
     if m < 2:
         raise ValueError("orbit enumeration needs at least two picks")
-    vectors = _trun_vectors(t, m)
-    if not vectors:
-        return ()
-    arr = np.array(vectors, dtype=np.uint8)
-    best = arr.copy()
-    rowidx = np.arange(len(arr))
-    for tab in _trun_perm_maps(m)[1:]:
-        cand = arr[:, tab]
-        neq = cand != best
-        first = neq.argmax(axis=1)
-        better = neq.any(axis=1) & (cand[rowidx, first] < best[rowidx, first])
-        if better.any():
-            best[better] = cand[better]
-    uniq = np.unique(best, axis=0)
-    return tuple(tuple(int(v) for v in row) for row in uniq)
+    arr = np.array(_trun_vectors(t, m), dtype=np.uint8).reshape(-1, 1 << (m - 1))
+    return tuple(_lexmin_classes(arr, _trun_perm_maps(m)))
 
 
 def _family_from_cells(cells: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Witness pick family realizing a trun cell vector (last pick all-zero)."""
-    picks = [0] * m
-    pos = 0
-    for cellmask, cnt in enumerate(cells):
-        for _ in range(cnt):
-            for i in range(m - 1):
-                if not cellmask >> i & 1:
-                    picks[i] |= 1 << pos
-            pos += 1
-    return tuple(picks)
+    full = (1 << (m - 1)) - 1
+    return (*_allocate(m - 1, ((full ^ c, v) for c, v in enumerate(cells))), 0)
 
 
 # -- category catalogs -----------------------------------------------------------
@@ -781,7 +755,7 @@ def categorize(m: Matroid, k: int) -> Category | None:
     Classification is generate-and-test against the catalogs, so a result
     of None is a certificate that m lies outside the class for this bound.
     Catalogs are cached per (size, bound); the very largest combination
-    (14 elements with bound 6) takes a few minutes to build on first use.
+    (14 elements with bound 6) takes about 19 minutes to build on first use.
     """
     if k < 0:
         raise OutOfRange(f"negative bound {k}")
@@ -934,37 +908,24 @@ def bottom_index_sets(k: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, 1 << k) if 1 <= m.bit_count() <= k - 2)
 
 
-def bottom_solutions(t: int, k: int) -> Iterator[CompositionSolution]:
-    """Non-negative assignments summing to t - 2(k+1), lexicographically."""
+def _bottom_equation(t: int, k: int) -> tuple[tuple[int, ...], int]:
+    """Index sets and total t - 2(k+1) of the unit-weight bottom equation."""
     sets = bottom_index_sets(k)
     if t < 2 * (k + 1):
         raise TooSmall(f"half-size {t} below 2(k+1) = {2 * (k + 1)}")
-    target = t - 2 * (k + 1)
-    if not sets:
-        if target == 0:
-            yield CompositionSolution((), ())
-        return
+    return sets, t - 2 * (k + 1)
 
-    def rec(pos: int, rest: int) -> Iterator[tuple[int, ...]]:
-        if pos == len(sets) - 1:
-            yield (rest,)
-            return
-        for v in range(rest + 1):
-            for tail in rec(pos + 1, rest - v):
-                yield (v,) + tail
 
-    for values in rec(0, target):
+def bottom_solutions(t: int, k: int) -> Iterator[CompositionSolution]:
+    """Non-negative assignments summing to t - 2(k+1), lexicographically."""
+    sets, target = _bottom_equation(t, k)
+    for values in _compositions((1,) * len(sets), target):
         yield CompositionSolution(sets, values)
 
 
 def bottom_solution_count(t: int, k: int) -> int:
-    nvars = len(bottom_index_sets(k))
-    if t < 2 * (k + 1):
-        raise TooSmall(f"half-size {t} below 2(k+1) = {2 * (k + 1)}")
-    target = t - 2 * (k + 1)
-    if nvars == 0:
-        return 1 if target == 0 else 0
-    return comb(target + nvars - 1, nvars - 1)
+    sets, target = _bottom_equation(t, k)
+    return _composition_count((1,) * len(sets), target)
 
 
 def bottom_construct(phi: CompositionSolution, t: int, k: int) -> SpikeSpec:
@@ -974,34 +935,25 @@ def bottom_construct(phi: CompositionSolution, t: int, k: int) -> SpikeSpec:
     one for each index, and the rest follow the solution; the final pick
     takes the unmarked side everywhere.
     """
-    sets = bottom_index_sets(k)
+    sets, target = _bottom_equation(t, k)
     if phi.index_sets != sets or any(v < 0 for v in phi.values):
         raise NotASolution("assignment does not cover the index sets")
-    if sum(phi.values) != t - 2 * (k + 1):
-        raise NotASolution(
-            f"values sum to {sum(phi.values)}, need {t - 2 * (k + 1)}"
-        )
-    marks = [0] * k
-    pos = 0
-
-    def allocate(pattern: int, count: int) -> None:
-        nonlocal pos
-        for _ in range(count):
-            for i in range(k):
-                if pattern >> i & 1:
-                    marks[i] |= 1 << pos
-            pos += 1
-
-    allocate(0, 2)
+    if sum(phi.values) != target:
+        raise NotASolution(f"values sum to {sum(phi.values)}, need {target}")
     full = (1 << k) - 1
-    for i in range(k):
-        allocate(full ^ (1 << i), 2)
-    for pattern, value in zip(sets, phi.values):
-        allocate(pattern, value)
-    assert pos == t
+    blocks = [(0, 2)] + [(full ^ (1 << i), 2) for i in range(k)]
+    marks = _allocate(k, blocks + list(zip(sets, phi.values)))
     tfull = (1 << t) - 1
-    picks = [marks[i] ^ tfull for i in range(k)] + [0]
-    return spike_spec(t, picks)
+    return spike_spec(t, [mark ^ tfull for mark in marks] + [0])
+
+
+def sk_verify_mode(t: int, mode: str = "auto") -> str:
+    """Verification mode for half-size t: auto means full up to the catalog cap."""
+    if mode not in ("auto", "full", "structural"):
+        raise OutOfRange(f"unknown mode {mode!r}")
+    if mode != "auto":
+        return mode
+    return "full" if 2 * t <= _CATALOG_N_CAP else "structural"
 
 
 def verify_sk_excluded_minor(spec: SpikeSpec, k: int, mode: str = "auto") -> bool:
@@ -1013,12 +965,8 @@ def verify_sk_excluded_minor(spec: SpikeSpec, k: int, mode: str = "auto") -> boo
     at least two, and every element lying in at least max(1, m-k) and at
     most k picks, so both single-element minors drop to at most k.
     """
-    if mode not in ("auto", "full", "structural"):
-        raise OutOfRange(f"unknown mode {mode!r}")
     n = 2 * spec.t
-    if mode == "auto":
-        mode = "full" if n <= _CATALOG_N_CAP else "structural"
-    if mode == "full":
+    if sk_verify_mode(spec.t, mode) == "full":
         if n > _CATALOG_N_CAP:
             raise TooLargeForFull(f"ground size {n} above {_CATALOG_N_CAP}")
         m = spike_from_spec(spec)

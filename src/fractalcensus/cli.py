@@ -14,10 +14,12 @@ import sys
 from pathlib import Path
 
 from .biasedlift import (
+    bottom_solution_count,
     census_sk_exact,
     census_sk_strata,
     pick_string,
     sk_excluded_minor_classes,
+    sk_verify_mode,
     spike_from_spec,
     spike_spec,
     spikespec_from_json,
@@ -34,7 +36,6 @@ from .sparsepaving import (
     collar_solution_count,
     sp_excluded_minors,
 )
-from .biasedlift import bottom_solution_count
 
 _GAMMA_NOTE = (
     "x-counts are restricted-search lower bounds: the excluded-minor search "
@@ -62,6 +63,10 @@ class BadElementList(MatroidError):
 
 class UnreadableFile(MatroidError):
     """An input file could not be read as text."""
+
+
+class UnwritableFile(MatroidError):
+    """An output file could not be written."""
 
 
 def _element_mask(text: str, n: int) -> int:
@@ -93,7 +98,10 @@ def _picks_arg(text: str) -> list[str]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UnwritableFile(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -157,10 +165,8 @@ def _run_spike_build(args) -> int:
 
 def _run_spike_verify(args) -> int:
     spec = spikespec_from_json(_read(args.file))
-    mode = args.mode
+    mode = sk_verify_mode(spec.t, args.mode)
     ok = verify_sk_excluded_minor(spec, args.k, mode=mode)
-    if mode == "auto":
-        mode = "full" if 2 * spec.t <= 14 else "structural"
     _print_json(
         {
             "excluded_minor": ok,

@@ -644,9 +644,16 @@ def matroid_from_json(text: str) -> Matroid:
         n = int(doc["n"])
         rank = int(doc["rank"])
         rows = [[int(e) for e in row] for row in doc["bases"]]
-        masks = [mask_from(row) for row in rows]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"not a matroid document: {exc}") from exc
+    # range checks come before any shift, so a huge index costs nothing
+    if n < 0 or n > MAX_GROUND:
+        raise SizeOverflow(f"ground set size {n} outside [0, {MAX_GROUND}]")
+    for row in rows:
+        for e in row:
+            if not 0 <= e < n:
+                raise OutOfRange(f"element {e} outside ground set of size {n}")
+    masks = [mask_from(row) for row in rows]
     for row, mask in zip(rows, masks):
         if mask.bit_count() != len(row):
             raise MalformedDocument(f"basis row {row} repeats an element")

@@ -25,6 +25,7 @@ import numpy as np
 from .bitset import bits, mask_from, subset_masks
 from .kernel import (
     MAX_GROUND,
+    MalformedDocument,
     Matroid,
     MatroidError,
     OutOfRange,
@@ -224,13 +225,35 @@ def _perm_cell_maps(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _canonical_cells(cells: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return min(tuple(cells[s] for s in tab) for tab in _perm_cell_maps(k))
+def _lexmin(cells, tabs) -> tuple[int, ...]:
+    """Least gathered cell vector over the tables, for one vector."""
+    return min(tuple(cells[s] for s in tab) for tab in tabs)
+
+
+def _lexmin_classes(arr: "np.ndarray", tabs) -> list[tuple[int, ...]]:
+    """Distinct least gathered rows over the tables, sorted.
+
+    The batched form of _lexmin: each table is one gather, and rows improve
+    where the first differing entry is smaller, so cost stays flat per row
+    even with 720 tables.  A single vector is faster through _lexmin.
+    """
+    if not len(arr):
+        return []
+    best = arr[:, tabs[0]]
+    rows = np.arange(len(arr))
+    for tab in tabs[1:]:
+        cand = arr[:, tab]
+        neq = cand != best
+        first = neq.argmax(axis=1)
+        better = neq.any(axis=1) & (cand[rows, first] < best[rows, first])
+        if better.any():
+            best[better] = cand[better]
+    return [tuple(int(v) for v in row) for row in np.unique(best, axis=0)]
 
 
 def canonical_signature(f: CHFamily) -> VennSignature:
     """Least cell vector over all orderings of the family."""
-    return VennSignature(f.k, _canonical_cells(venn_signature(f).cells, f.k))
+    return VennSignature(f.k, _lexmin(venn_signature(f).cells, _perm_cell_maps(f.k)))
 
 
 def ch_isomorphic(f1: CHFamily, f2: CHFamily) -> bool:
@@ -261,18 +284,25 @@ def signature_realizable(psi: VennSignature) -> tuple[int, int] | None:
     r = sums[0] if k else 0
     if any(s != r for s in sums) or not 1 <= r <= n - 1:
         return None
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            one_sided = sum(
-                v
-                for mask, v in enumerate(psi.cells)
-                if mask >> i & 1 and not mask >> j & 1
-            )
-            if one_sided < 2:
-                return None
+    if not _pairs_apart(np.array([psi.cells]), k)[0]:
+        return None
     return n, r
+
+
+def _allocate(width: int, blocks) -> list[int]:
+    """Member masks from (pattern, count) blocks of consecutive elements.
+
+    Elements are numbered from 0 in block order; each element of a block
+    lies in exactly the members whose indices are the bits of its pattern.
+    """
+    members = [0] * width
+    e = 0
+    for pattern, count in blocks:
+        run = ((1 << count) - 1) << e
+        for i in bits(pattern):
+            members[i] |= run
+        e += count
+    return members
 
 
 def realize_signature(psi: VennSignature) -> CHFamily | None:
@@ -281,31 +311,15 @@ def realize_signature(psi: VennSignature) -> CHFamily | None:
     if got is None:
         return None
     n, r = got
-    members = [0] * psi.k
-    e = 0
-    for mask, v in enumerate(psi.cells):
-        for _ in range(v):
-            for i in bits(mask):
-                members[i] |= 1 << e
-            e += 1
-    return chfamily(n, r, members)
+    return chfamily(n, r, _allocate(psi.k, enumerate(psi.cells)))
 
 
 # -- exact census -------------------------------------------------------------
 
 
 def count_signatures(k: int, n: int) -> int:
-    """Number of k-index cell vectors with total n, by stars-and-bars DP."""
-    cells = 1 << k
-    row = [1] * (n + 1)  # one cell
-    for _ in range(cells - 1):
-        acc = 0
-        nxt = []
-        for total in range(n + 1):
-            acc += row[total]
-            nxt.append(acc)
-        row = nxt
-    return row[n]
+    """Number of k-index cell vectors with total n: unit-weight compositions."""
+    return _composition_count((1,) * (1 << k), n)
 
 
 def _signature_vectors(
@@ -391,59 +405,27 @@ def _signature_vectors(
     return out
 
 
-def _pairs_ok(cells: tuple[int, ...], m: int) -> bool:
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            side = sum(
-                v for mask, v in enumerate(cells) if mask >> i & 1 and not mask >> j & 1
-            )
-            if side < 2:
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _pair_selectors(m: int) -> "np.ndarray":
-    # row per ordered index pair, column per cell mask
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            rows.append(
-                [1 if mask >> i & 1 and not mask >> j & 1 else 0 for mask in range(1 << m)]
-            )
-    return np.array(rows, dtype=np.int32).T
+    # column per ordered index pair, row per cell mask
+    cols = [
+        [1 if mask >> i & 1 and not mask >> j & 1 else 0 for mask in range(1 << m)]
+        for i in range(m)
+        for j in range(m)
+        if i != j
+    ]
+    return np.array(cols, dtype=np.int32).reshape(-1, 1 << m).T
+
+
+def _pairs_apart(arr: "np.ndarray", m: int) -> "np.ndarray":
+    """Per row of cell vectors: every ordered index pair has one-sided sum >= 2."""
+    return (arr.astype(np.int32) @ _pair_selectors(m) >= 2).all(axis=1)
 
 
 def _canonical_classes(vectors: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
-    """Distinct canonical forms of pairwise-valid vectors, sorted.
-
-    Batched: the pair condition is one matrix product, and the lexmin
-    over index permutations runs as gather plus first-difference row
-    compares, so cost stays flat per vector even at m = 6.
-    """
-    if not vectors:
-        return []
-    arr = np.array(vectors, dtype=np.uint8)
-    if m >= 2:
-        sides = arr.astype(np.int32) @ _pair_selectors(m)
-        arr = arr[(sides >= 2).all(axis=1)]
-        if not len(arr):
-            return []
-    best = arr.copy()
-    rows = np.arange(len(arr))
-    for tab in _perm_cell_maps(m)[1:]:
-        cand = arr[:, tab]
-        neq = cand != best
-        first = neq.argmax(axis=1)
-        better = neq.any(axis=1) & (cand[rows, first] < best[rows, first])
-        if better.any():
-            best[better] = cand[better]
-    uniq = np.unique(best, axis=0)
-    return [tuple(int(v) for v in row) for row in uniq]
+    """Distinct canonical forms of pairwise-valid vectors, sorted."""
+    arr = np.array(vectors, dtype=np.uint8).reshape(-1, 1 << m)
+    return _lexmin_classes(arr[_pairs_apart(arr, m)], _perm_cell_maps(m))
 
 
 def _stratum_canonicals(n: int, m: int, sizes: frozenset[int] | None = None):
@@ -461,6 +443,8 @@ def _stratum_canonicals(n: int, m: int, sizes: frozenset[int] | None = None):
 def census_pk(n: int, k: int) -> list[CensusRow]:
     """Isomorphism-class counts of sparse paving matroids with at most k
     circuit-hyperplanes, one row per exact count m."""
+    if n < 0 or k < 0:
+        raise OutOfRange("size and bound must be non-negative")
     if k > 6:
         raise BoundTooLarge("census strata cap at k = 6")
     rows = [CensusRow(n, k, 0, n + 1)]
@@ -479,11 +463,55 @@ def census_csv(rows: list[CensusRow]) -> str:
 # -- composition equation and the excluded-minor construction ----------------
 
 
+def _compositions(weights: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
+    """Non-negative value tuples with sum(w * v) == target, lexicographically."""
+    last = len(weights) - 1
+    values = [0] * len(weights)
+
+    def rec(pos: int, rest: int) -> Iterator[tuple[int, ...]]:
+        if pos == last:
+            v, rem = divmod(rest, weights[pos])
+            if rem == 0:
+                values[pos] = v
+                yield tuple(values)
+            return
+        for v in range(rest // weights[pos] + 1):
+            values[pos] = v
+            yield from rec(pos + 1, rest - v * weights[pos])
+
+    if weights:
+        yield from rec(0, target)
+    elif target == 0:
+        yield ()
+
+
+def _composition_count(weights: tuple[int, ...], target: int) -> int:
+    """Number of _compositions(weights, target), by coin-style DP."""
+    if target < 0:
+        raise OutOfRange(f"negative composition total {target}")
+    row = [1] + [0] * target
+    for w in weights:
+        for total in range(w, target + 1):
+            row[total] += row[total - w]
+    return row[target]
+
+
 def collar_index_sets(k: int) -> tuple[int, ...]:
     """Variable index sets: subsets of {1..k+1} with 2 <= size <= k."""
+    if k < 0:
+        raise OutOfRange(f"negative bound {k}")
     return tuple(
         mask for mask in range(1, 1 << (k + 1)) if 2 <= mask.bit_count() <= k
     )
+
+
+def _collar_equation(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Index sets, weights k + 2 - |I| and total n - 2(k+1) of the equation."""
+    index_sets = collar_index_sets(k)
+    if n < 2 * (k + 1):
+        raise TooSmall(f"need n >= {2 * (k + 1)}")
+    weights = tuple(k + 2 - mask.bit_count() for mask in index_sets)
+    return index_sets, weights, n - 2 * (k + 1)
 
 
 def collar_solutions(n: int, k: int) -> Iterator[CompositionSolution]:
@@ -492,49 +520,15 @@ def collar_solutions(n: int, k: int) -> Iterator[CompositionSolution]:
     The variable for index set I carries weight k + 2 - |I|; assignments
     stream in lexicographic order over the fixed variable order.
     """
-    if n < 2 * (k + 1):
-        raise TooSmall(f"need n >= {2 * (k + 1)}")
-    index_sets = collar_index_sets(k)
-    weights = [k + 2 - mask.bit_count() for mask in index_sets]
-    target = n - 2 * (k + 1)
-    values = [0] * len(index_sets)
-
-    def rec(pos: int, rest: int) -> Iterator[CompositionSolution]:
-        if pos == len(index_sets):
-            if rest == 0:
-                yield CompositionSolution(index_sets, tuple(values))
-            return
-        if pos == len(index_sets) - 1:
-            v, rem = divmod(rest, weights[pos])
-            if rem == 0:
-                values[pos] = v
-                yield CompositionSolution(index_sets, tuple(values))
-                values[pos] = 0
-            return
-        for v in range(rest // weights[pos] + 1):
-            values[pos] = v
-            yield from rec(pos + 1, rest - v * weights[pos])
-            values[pos] = 0
-
-    if not index_sets:
-        if target == 0:
-            yield CompositionSolution(index_sets, ())
-        return
-    yield from rec(0, target)
+    index_sets, weights, target = _collar_equation(n, k)
+    for values in _compositions(weights, target):
+        yield CompositionSolution(index_sets, values)
 
 
 def collar_solution_count(n: int, k: int) -> int:
     """Solution count by coin-style DP over the variable weights."""
-    if n < 2 * (k + 1):
-        raise TooSmall(f"need n >= {2 * (k + 1)}")
-    target = n - 2 * (k + 1)
-    row = [0] * (target + 1)
-    row[0] = 1
-    for mask in collar_index_sets(k):
-        w = k + 2 - mask.bit_count()
-        for total in range(w, target + 1):
-            row[total] += row[total - w]
-    return row[target]
+    _, weights, target = _collar_equation(n, k)
+    return _composition_count(weights, target)
 
 
 def collar_construct(phi: CompositionSolution, n: int, k: int) -> CHFamily:
@@ -544,33 +538,18 @@ def collar_construct(phi: CompositionSolution, n: int, k: int) -> CHFamily:
     then adds one element to cell I and one to every singleton cell
     outside I, keeping the members equicardinal throughout.
     """
-    index_sets = collar_index_sets(k)
+    index_sets, weights, target = _collar_equation(n, k)
     if phi.index_sets != index_sets or any(v < 0 for v in phi.values):
         raise NotASolution("assignment does not fit the variable layout")
-    weighted = sum(
-        (k + 2 - mask.bit_count()) * v for mask, v in zip(index_sets, phi.values)
-    )
-    if weighted != n - 2 * (k + 1):
-        raise NotASolution(f"weighted sum {weighted} != {n - 2 * (k + 1)}")
-    members = [0] * (k + 1)
-    e = 0
-
-    def allocate(pattern: int, count: int) -> None:
-        nonlocal e
-        for _ in range(count):
-            for i in bits(pattern):
-                members[i] |= 1 << e
-            e += 1
-
-    for i in range(k + 1):
-        allocate(1 << i, 2)
+    weighted = sum(w * v for w, v in zip(weights, phi.values))
+    if weighted != target:
+        raise NotASolution(f"weighted sum {weighted} != {target}")
+    blocks = [(1 << i, 2) for i in range(k + 1)]
     for mask, v in zip(index_sets, phi.values):
-        allocate(mask, v)
-        for i in range(k + 1):
-            if not mask >> i & 1:
-                allocate(1 << i, v)
-    r = members[0].bit_count()
-    return chfamily(n, r, members)
+        blocks.append((mask, v))
+        blocks += [(1 << i, v) for i in range(k + 1) if not mask >> i & 1]
+    members = _allocate(k + 1, blocks)
+    return chfamily(n, members[0].bit_count(), members)
 
 
 def pk_member(m: Matroid, k: int) -> bool:
@@ -591,8 +570,8 @@ def exminor_shards(n: int, k: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def exminor_shard(shard: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
-    """Verified canonical signatures for one (n, k, m, r) work unit.
+def exminor_shard(shard: tuple[int, int, int, int]) -> list[CHFamily]:
+    """Witness families of the verified classes of one (n, k, m, r) work unit.
 
     Candidates are realizable cell vectors whose per-element degrees stay
     within [m-k, k]: deleting an element must drop the count to at most k
@@ -602,15 +581,13 @@ def exminor_shard(shard: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
     """
     n, k, m, r = shard
     sizes = frozenset(range(max(1, m - k), k + 1))
-    found = _canonical_classes(_signature_vectors(n, m, r, sizes), m)
     verified = []
-    for cells in found:
+    for cells in _canonical_classes(_signature_vectors(n, m, r, sizes), m):
         witness = realize_signature(VennSignature(m, cells))
         if witness is None:
             continue
-        matroid = ch_to_matroid(witness)
-        if is_excluded_minor(matroid, lambda q: pk_member(q, k)):
-            verified.append(cells)
+        if is_excluded_minor(ch_to_matroid(witness), lambda q: pk_member(q, k)):
+            verified.append(witness)
     return verified
 
 
@@ -618,14 +595,7 @@ def sp_excluded_minors(n: int, k: int) -> list[CHFamily]:
     """One witness family per isomorphism class of sparse paving excluded
     minors for the at-most-k class, in canonical order."""
     shards = exminor_shards(n, k)
-    out = []
-    for shard, cells_list in zip(shards, run_sharded(exminor_shard, shards)):
-        m = shard[2]
-        for cells in cells_list:
-            witness = realize_signature(VennSignature(m, cells))
-            assert witness is not None
-            out.append(witness)
-    return out
+    return [f for found in run_sharded(exminor_shard, shards) for f in found]
 
 
 # -- serialization ------------------------------------------------------------
@@ -641,7 +611,14 @@ def chfamily_to_json(f: CHFamily) -> str:
 
 
 def chfamily_from_json(text: str) -> CHFamily:
-    doc = json.loads(text)
-    return chfamily(
-        int(doc["n"]), int(doc["rank"]), (mask_from(c) for c in doc["chs"])
-    )
+    try:
+        doc = json.loads(text)
+        n, r = int(doc["n"]), int(doc["rank"])
+        rows = [[int(e) for e in row] for row in doc["chs"]]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedDocument(f"not a family document: {exc}") from exc
+    for row in rows:
+        for e in row:
+            if not 0 <= e < n:
+                raise OutOfRange(f"element {e} outside ground set of size {n}")
+    return chfamily(n, r, (mask_from(row) for row in rows))

@@ -2,8 +2,9 @@
 import json
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractalcensus.biasedlift import (
@@ -24,6 +25,7 @@ from fractalcensus.biasedlift import (
     _ham_mask,
     _pair_mask,
     _trun_orbits,
+    _trun_perm_maps,
     _trun_vectors,
     bottom_construct,
     bottom_index_sets,
@@ -50,6 +52,7 @@ from fractalcensus.biasedlift import (
     linear_class,
     pick_string,
     sk_excluded_minor_classes,
+    sk_verify_mode,
     spike,
     spike_cyclic_flats,
     spike_from_spec,
@@ -69,7 +72,12 @@ from fractalcensus.kernel import (
     make_matroid,
     uniform,
 )
-from fractalcensus.sparsepaving import NotASolution, TooSmall
+from fractalcensus.sparsepaving import (
+    NotASolution,
+    TooSmall,
+    _lexmin_classes,
+    _perm_cell_maps,
+)
 
 
 def all_specs(t, max_picks=2):
@@ -329,7 +337,64 @@ def test_glance_invariant_under_relabeling(data):
     )
 
 
+def _glance_per_last(t, s, picks):
+    """Reference glance cell vector: every pick in turn as the last one,
+    the Venn lexmin over the orderings of the others, least overall."""
+    m = len(picks)
+    best = None
+    for last in range(m):
+        others = [i for i in range(m) if i != last]
+        cells = [0] * (1 << (m - 1))
+        for j in range(t):
+            side = picks[last] >> j & 1
+            pattern = 0
+            for pos, i in enumerate(others):
+                if picks[i] >> j & 1 == side:
+                    pattern |= 1 << pos
+            cells[pattern] += 1
+        cells[-1] += s
+        cand = min(tuple(cells[x] for x in tab) for tab in _perm_cell_maps(m - 1))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 7),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.lists(st.integers(0, 127), min_size=2, max_size=8),
+)
+def test_glance_matches_per_last_reference(t, s, p, raw):
+    assume(t + s >= 5)
+    picks = []
+    for x in raw:
+        x &= (1 << t) - 1
+        if all((x ^ y).bit_count() >= 2 for y in picks):
+            picks.append(x)
+    assume(len(picks) >= 2)
+    picks.sort()
+    key = glance_signature((t, s, p, picks))
+    assert key == GlanceKey(p, s, _glance_per_last(t, s, picks))
+
+
 # -- orbit machinery ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_batched_lexmin_matches_scalar_on_trun_vectors(m):
+    tabs = _trun_perm_maps(m)
+    for t in range(0, 7):
+        vectors = _trun_vectors(t, m)
+        for v in vectors:
+            one = np.array([v], dtype=np.uint8)
+            assert _lexmin_classes(one, tabs) == [
+                min(tuple(v[x] for x in tab) for tab in tabs)
+            ]
+        assert list(_trun_orbits(t, m)) == sorted(
+            {min(tuple(v[x] for x in tab) for tab in tabs) for v in vectors}
+        )
 
 
 def test_trun_vectors_filter():
@@ -528,6 +593,18 @@ def test_verify_structural_rejections():
 
     with pytest.raises(bl.TooLargeForFull):
         verify_sk_excluded_minor(spike_spec(12, [0, 3]), 1, mode="full")
+
+
+def test_verify_mode_resolution():
+    # auto means full verification up to the 14-element catalog cap
+    assert sk_verify_mode(7) == "full"
+    assert sk_verify_mode(8) == "structural"
+    assert sk_verify_mode(8, "full") == "full"
+    assert sk_verify_mode(3, "structural") == "structural"
+    with pytest.raises(OutOfRange):
+        sk_verify_mode(6, "fast")
+    with pytest.raises(OutOfRange):
+        verify_sk_excluded_minor(spike_spec(6, [0]), 2, mode="fast")
 
 
 def test_verify_excluded_minor_against_kernel():

@@ -192,3 +192,37 @@ def test_out_writes_file(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert text.startswith("n,k,m,count\n")
     assert text.endswith("\n")
+
+
+def test_huge_element_rejected_before_shift(tmp_path, capsys):
+    # range check comes before 1 << e, so the detail stays short
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"n": 4, "rank": 1, "bases": [[400000000]]}', encoding="utf-8")
+    argv = ["matroid", "validate", "--file", str(bad)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OutOfRange"
+    assert "400000000" in err["detail"] and len(err["detail"]) < 200
+    bad.write_text('{"n": 400, "rank": 1, "bases": [[0]]}', encoding="utf-8")
+    assert _exit_one(argv, capsys) == "SizeOverflow"
+
+
+def test_unwritable_out_exits_cleanly(u24_file, tmp_path, capsys):
+    target = str(tmp_path / "missing-dir" / "x.json")
+    argv = ["matroid", "dual", "--file", u24_file, "--out", target]
+    assert _exit_one(argv, capsys) == "UnwritableFile"
+    argv = ["spike", "build", "--t", "4", "--picks", "0011,1100", "--out", target]
+    assert _exit_one(argv, capsys) == "UnwritableFile"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sp", "census", "--n", "-3", "--k", "2"],
+        ["sp", "census", "--n", "6", "--k", "-1"],
+        ["slope", "--source", "eqn1", "--k", "-2", "--range", "1..10"],
+        ["slope", "--source", "eqn1", "--k", "-1", "--range", "1..10"],
+    ],
+)
+def test_negative_sizes_and_bounds_exit_cleanly(argv, capsys):
+    assert _exit_one(argv, capsys) == "OutOfRange"

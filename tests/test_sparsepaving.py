@@ -5,14 +5,17 @@ with the kernel's permutation-isomorphism test, so the signature-based
 counts are confirmed by machinery that never looks at Venn cells.
 """
 
-from itertools import permutations
+from itertools import permutations, product
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcensus.bitset import bits, mask_from, subset_masks
 from fractalcensus.kernel import (
+    MalformedDocument,
     Matroid,
     OutOfRange,
     RankOutOfRange,
@@ -30,6 +33,13 @@ from fractalcensus.sparsepaving import (
     NotASolution,
     TooSmall,
     VennSignature,
+    _allocate,
+    _composition_count,
+    _compositions,
+    _lexmin_classes,
+    _pairs_apart,
+    _perm_cell_maps,
+    _signature_vectors,
     census_csv,
     census_pk,
     ch_contract,
@@ -336,8 +346,6 @@ def test_realizable_iff_some_family_has_signature(k, data):
 
 
 def test_count_signatures_stars_and_bars():
-    from math import comb
-
     for k in range(0, 4):
         for n in range(0, 13):
             assert count_signatures(k, n) == comb(n + (1 << k) - 1, (1 << k) - 1)
@@ -499,3 +507,112 @@ def test_chfamily_json_round_trip():
     text = chfamily_to_json(f)
     assert text == '{"n": 6, "rank": 3, "chs": [[0, 1, 2], [3, 4, 5]]}\n'
     assert chfamily_from_json(text) == f
+
+
+def test_chfamily_from_json_rejects_malformed():
+    for text in ["not json", '{"n": 6, "rank": 3}', '{"n": 6, "rank": 3, "chs": 5}',
+                 '{"n": 6, "rank": 3, "chs": [["a"]]}']:
+        with pytest.raises(MalformedDocument):
+            chfamily_from_json(text)
+    # a huge element is rejected by range, before any shift
+    with pytest.raises(OutOfRange, match="400000000"):
+        chfamily_from_json('{"n": 6, "rank": 1, "chs": [[400000000]]}')
+    with pytest.raises(OutOfRange):
+        chfamily_from_json('{"n": 6, "rank": 1, "chs": [[-1]]}')
+
+
+def test_census_pk_rejects_negative_inputs():
+    with pytest.raises(OutOfRange):
+        census_pk(-3, 2)
+    with pytest.raises(OutOfRange):
+        census_pk(6, -1)
+
+
+# -- shared cell-vector helpers against their reference forms ------------------
+
+
+def _scalar_lexmin(v, tabs):
+    return min(tuple(v[s] for s in tab) for tab in tabs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_lexmin_matches_scalar_on_signature_vectors(m):
+    tabs = _perm_cell_maps(m)
+    for n in range(0, 8):
+        for r in range(0, n + 1):
+            vectors = _signature_vectors(n, m, r, None)
+            arr = np.array(vectors, dtype=np.uint8).reshape(-1, 1 << m)
+            for v in vectors:
+                one = np.array([v], dtype=np.uint8)
+                assert _lexmin_classes(one, tabs) == [_scalar_lexmin(v, tabs)]
+            want = sorted({_scalar_lexmin(v, tabs) for v in vectors})
+            assert _lexmin_classes(arr, tabs) == want
+
+
+def _pairs_ok(cells, m):
+    for i in range(m):
+        for j in range(m):
+            if i != j and sum(
+                v for mask, v in enumerate(cells) if mask >> i & 1 and not mask >> j & 1
+            ) < 2:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pairs_apart_matches_pairwise_loop(m):
+    vectors = [v for r in range(0, 7) for v in _signature_vectors(6, m, r, None)]
+    got = _pairs_apart(np.array(vectors, dtype=np.uint8), m)
+    assert [bool(x) for x in got] == [_pairs_ok(v, m) for v in vectors]
+    assert any(got)
+    assert all(got) == (m < 2)  # a single index has no pair to separate
+
+
+@pytest.mark.parametrize(
+    "weights", [(), (1,), (3,), (1, 1), (3, 1, 2), (2, 2, 3), (1, 2, 3, 4), (5, 4, 3, 3, 2)]
+)
+def test_compositions_match_product_brute_force(weights):
+    for target in range(0, 11):
+        brute = [
+            values
+            for values in product(*(range(target // w + 1) for w in weights))
+            if sum(w * v for w, v in zip(weights, values)) == target
+        ]
+        assert list(_compositions(weights, target)) == brute
+        assert _composition_count(weights, target) == len(brute)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5, 8])
+def test_unit_composition_count_closed_form(nvars):
+    for target in range(0, 16):
+        want = comb(target + nvars - 1, nvars - 1)
+        assert _composition_count((1,) * nvars, target) == want
+
+
+def test_negative_totals_and_bounds_rejected():
+    with pytest.raises(OutOfRange):
+        count_signatures(2, -1)
+    with pytest.raises(OutOfRange):
+        collar_index_sets(-2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(st.integers(0, 31), st.integers(0, 4))))
+def test_allocate_matches_per_element_loop(width, blocks):
+    blocks = [(pattern & ((1 << width) - 1), count) for pattern, count in blocks]
+    members = [0] * width
+    e = 0
+    for pattern, count in blocks:
+        for _ in range(count):
+            for i in bits(pattern):
+                members[i] |= 1 << e
+            e += 1
+    assert _allocate(width, blocks) == members
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (9, 2), (10, 2)])
+def test_exminor_witnesses_are_canonical_realizations(n, k):
+    found = sp_excluded_minors(n, k)
+    assert found
+    for f in found:
+        assert realize_signature(canonical_signature(f)) == f
