@@ -534,28 +534,6 @@ def glance_isomorphic(d1, d2) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _trun_pair_selectors(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Per cell, the indices of ordered-pair distances it contributes to.
-
-    Pairs are (i, j) over the truncated indices plus (i, last); a cell
-    splits (i, j) when exactly one of the bits is set and (i, last) when
-    bit i is clear.
-    """
-    idxpairs = list(combinations(range(m - 1), 2)) + [(i, m) for i in range(m - 1)]
-    rows = []
-    for cell in range(1 << (m - 1)):
-        hit = []
-        for pi, (i, j) in enumerate(idxpairs):
-            if j == m:
-                if not cell >> i & 1:
-                    hit.append(pi)
-            elif (cell >> i ^ cell >> j) & 1:
-                hit.append(pi)
-        rows.append(tuple(hit))
-    return tuple(rows), len(idxpairs)
-
-
-@lru_cache(maxsize=None)
 def _trun_perm_maps(m: int) -> tuple[tuple[int, ...], ...]:
     """Cell-index gather tables realizing every reordering of m picks.
 
@@ -581,65 +559,38 @@ def _trun_perm_maps(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tabs)
 
 
-def _trun_vectors(total: int, m: int) -> list[tuple[int, ...]]:
-    """Cell vectors with the given total whose pairwise distances all reach 2."""
-    rows, npairs = _trun_pair_selectors(m)
-    ncells = 1 << (m - 1)
-    # suffix aids for pruning: which pairs any later cell can still feed,
-    # and the largest number of pairs a later cell feeds at once
-    suffix_mask = [0] * (ncells + 1)
-    suffix_width = [0] * (ncells + 1)
-    for pos in range(ncells - 1, -1, -1):
-        pm = 0
-        for pi in rows[pos]:
-            pm |= 1 << pi
-        suffix_mask[pos] = suffix_mask[pos + 1] | pm
-        suffix_width[pos] = max(suffix_width[pos + 1], len(rows[pos]))
-    deficits = [2] * npairs
-    out: list[tuple[int, ...]] = []
-    cells = [0] * ncells
-
-    def rec(pos: int, rest: int, need_mask: int, need_sum: int) -> None:
-        if need_mask & ~suffix_mask[pos]:
-            return
-        if need_sum > rest * suffix_width[pos]:
-            return
-        saved = [deficits[pi] for pi in rows[pos]]
-        if pos == ncells - 1:
-            remaining = need_sum
-            for pi in rows[pos]:
-                drop = min(rest, deficits[pi])
-                deficits[pi] -= drop
-                remaining -= drop
-            if remaining == 0:
-                cells[pos] = rest
-                out.append(tuple(cells))
-                cells[pos] = 0
-        else:
-            for v in range(rest + 1):
-                if v:
-                    for pi in rows[pos]:
-                        if deficits[pi] > 0:
-                            deficits[pi] -= 1
-                            need_sum -= 1
-                            if deficits[pi] == 0:
-                                need_mask &= ~(1 << pi)
-                cells[pos] = v
-                rec(pos + 1, rest - v, need_mask, need_sum)
-            cells[pos] = 0
-        for pi, old in zip(rows[pos], saved):
-            deficits[pi] = old
-
-    rec(0, total, (1 << npairs) - 1, 2 * npairs)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _trun_orbits(t: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical trun cell vectors with total t over subsets of m-1 indices."""
-    if m < 2:
-        raise ValueError("orbit enumeration needs at least two picks")
-    arr = np.array(_trun_vectors(t, m), dtype=np.uint8).reshape(-1, 1 << (m - 1))
+    """Canonical trun cell vectors with total t over subsets of m-1 indices.
+
+    Orbits grow one pick at a time (isomorph-free generation, McKay,
+    J. Algorithms 26, 1998).  Dropping a non-reference pick from a valid
+    family leaves a valid family, so every orbit at m picks extends some
+    representative v at m-1: the new pick takes index m-2 and agrees with
+    the reference on a_I of the v_I coordinates of each cell I, giving the
+    child (v - a) ++ a.  Children with a pick closer than 2 to the new one
+    are dropped and the rest are canonicalized.
+    """
+    if m < 1:
+        raise ValueError("orbit enumeration needs at least one pick")
+    if m == 1:
+        return ((t,),)
+    half = 1 << (m - 2)
+    # agree[I, i]: pick i sides with the reference on cell I; the last
+    # column is the reference itself.  The new pick is then at distance
+    # agree[:, i] . (v - a) + (1 - agree[:, i]) . a from pick i.
+    agree = np.ones((half, m - 1), dtype=np.int64)
+    agree[:, :-1] = np.arange(half)[:, None] >> np.arange(m - 2) & 1
+    sign = 1 - 2 * agree
+    # the empty block keeps the concatenation defined when t < 2 leaves
+    # no representative to extend
+    kids = [np.zeros((0, 2 * half), dtype=np.int64)]
+    for v in _trun_orbits(t, m - 1):
+        vec = np.array(v)
+        a = np.indices(vec + 1).reshape(half, -1).T
+        a = a[(vec @ agree + a @ sign >= 2).all(axis=1)]
+        kids.append(np.hstack([vec - a, a]))
+    arr = np.concatenate(kids).astype(np.uint8)
     return tuple(_lexmin_classes(arr, _trun_perm_maps(m)))
 
 
@@ -755,7 +706,8 @@ def categorize(m: Matroid, k: int) -> Category | None:
     Classification is generate-and-test against the catalogs, so a result
     of None is a certificate that m lies outside the class for this bound.
     Catalogs are cached per (size, bound); the very largest combination
-    (14 elements with bound 6) takes about 19 minutes to build on first use.
+    (14 elements with bound 6) takes about 40 seconds to build on first use,
+    almost all of it in the catalog's pairwise isomorphism dedupe.
     """
     if k < 0:
         raise OutOfRange(f"negative bound {k}")
@@ -824,7 +776,18 @@ def _orbit_count(t: int, m: int) -> int:
     return len(_trun_orbits(t, m))
 
 
-def _strata_rows(n: int, k: int) -> list[StratumRow]:
+def strata_rows(n: int, k: int) -> list[StratumRow]:
+    """Stratified upper-bound census rows at any size.
+
+    Category rows are parameter counts; the doubled-cycle stratum counts
+    (loops, thins, canonical orbit) keys per rank and member count.
+    Overlaps between categories are deliberately not subtracted, so the
+    total over-counts the exact census.
+    """
+    if n < 0 or k < 0:
+        raise OutOfRange("size and bound must be non-negative")
+    if k > _CATALOG_K_CAP:
+        raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
     rows = []
     # doubled-cycle lifts keyed by (rank, members, loops, thins, orbit)
     for r in range(3, n + 1):
@@ -869,20 +832,11 @@ def _strata_rows(n: int, k: int) -> list[StratumRow]:
 
 
 def census_sk_strata(n: int, k: int) -> list[StratumRow]:
-    """Stratified upper-bound census at an even size.
-
-    Category rows are parameter counts; the doubled-cycle stratum counts
-    (loops, thins, canonical orbit) keys per rank and member count.
-    Overlaps between categories are deliberately not subtracted, so the
-    total over-counts the exact census.
-    """
-    if n < 0 or k < 0:
-        raise OutOfRange("size and bound must be non-negative")
-    if n % 2:
+    """Stratified upper-bound census at an even size (see strata_rows)."""
+    # a negative size or bound is reported by strata_rows first
+    if n % 2 and min(n, k) >= 0:
         raise OddSize(f"strata census is defined for even sizes, got {n}")
-    if k > _CATALOG_K_CAP:
-        raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
-    return _strata_rows(n, k)
+    return strata_rows(n, k)
 
 
 def strata_total(rows: list[StratumRow]) -> int:

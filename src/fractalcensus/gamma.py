@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .biasedlift import _strata_rows, sk_excluded_minor_classes, strata_total
+from .biasedlift import sk_excluded_minor_classes, strata_rows, strata_total
 from .kernel import MatroidError, OutOfRange
 from .sparsepaving import TooSmall, census_pk, sp_excluded_minors
 
@@ -82,7 +82,7 @@ def gamma_sk_table(k: int, half_sizes: Iterable[int]) -> list[GammaRow]:
         return []
     rows = []
     for n in range(2 * ts[0], 2 * ts[-1] + 1):
-        m = strata_total(_strata_rows(n, k))
+        m = strata_total(strata_rows(n, k))
         x = 0
         if n % 2 == 0:
             try:

@@ -278,14 +278,18 @@ class Matroid:
             self._cache["cyclic_flats"] = got
         return list(got)
 
-    # -- minors, duality, components ----------------------------------------
-
-    def _minor_single(self, e: int, is_contract: bool) -> "Matroid | None":
-        """Vectorized one-element minor; None when rank degenerates."""
+    def _bases_array(self) -> "np.ndarray":
         arr = self._cache.get("basesarr")
         if arr is None:
             arr = np.array(self.bases, dtype=np.uint32)
             self._cache["basesarr"] = arr
+        return arr
+
+    # -- minors, duality, components ----------------------------------------
+
+    def _minor_single(self, e: int, is_contract: bool) -> "Matroid | None":
+        """Vectorized one-element minor; None when rank degenerates."""
+        arr = self._bases_array()
         hit = (arr >> e) & 1 == 1
         if is_contract:
             if not hit.any():  # loop: contraction equals deletion
@@ -396,38 +400,39 @@ class Matroid:
 
     # -- isomorphism --------------------------------------------------------
 
-    def basis_degrees(self) -> tuple[int, ...]:
+    def _degrees(self) -> tuple[tuple[int, ...], list[list[int]]]:
+        """Basis degrees and pair degrees from one incidence product.
+
+        With inc the (bases x n) 0/1 incidence array, entry (e, f) of
+        inc^T inc counts the bases holding both e and f: the diagonal is
+        each element's basis degree, the off-diagonal its pair degrees.
+        """
         got = self._cache.get("deg")
         if got is None:
-            deg = [0] * self.n
-            for b in self.bases:
-                for e in bits(b):
-                    deg[e] += 1
-            got = tuple(deg)
+            inc = self._bases_array()[:, None] >> np.arange(self.n, dtype=np.uint32) & 1
+            gram = inc.T @ inc
+            deg = tuple(np.diagonal(gram).tolist())
+            np.fill_diagonal(gram, 0)
+            got = deg, gram.tolist()
             self._cache["deg"] = got
         return got
 
+    def basis_degrees(self) -> tuple[int, ...]:
+        return self._degrees()[0]
+
     def _pair_degrees(self) -> list[list[int]]:
-        got = self._cache.get("pairdeg")
-        if got is None:
-            got = [[0] * self.n for _ in range(self.n)]
-            for b in self.bases:
-                es = elements_of(b)
-                for i, e in enumerate(es):
-                    row = got[e]
-                    for f in es[i + 1:]:
-                        row[f] += 1
-                        got[f][e] += 1
-            self._cache["pairdeg"] = got
-        return got
+        return self._degrees()[1]
 
     def _profiles(self) -> list[tuple]:
-        deg = self.basis_degrees()
-        pd = self._pair_degrees()
-        return [
-            (deg[e], tuple(sorted(pd[e][f] for f in range(self.n) if f != e)))
-            for e in range(self.n)
-        ]
+        got = self._cache.get("profiles")
+        if got is None:
+            deg, pd = self._degrees()
+            got = [
+                (deg[e], tuple(sorted(pd[e][f] for f in range(self.n) if f != e)))
+                for e in range(self.n)
+            ]
+            self._cache["profiles"] = got
+        return got
 
     def is_isomorphic(self, other: "Matroid") -> bool:
         """Permutation isomorphism via pruned backtracking.

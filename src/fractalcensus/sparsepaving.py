@@ -561,6 +561,8 @@ def exminor_shards(n: int, k: int) -> list[tuple[int, int, int, int]]:
     """Independent (n, k, m, r) work units for the excluded-minor sweep."""
     if not 1 <= k <= 5:
         raise BoundTooLarge("excluded-minor sweep needs 1 <= k <= 5")
+    if n < 0:
+        raise OutOfRange(f"negative size {n}")
     if n > 16:
         raise BoundTooLarge("excluded-minor sweep caps at n = 16")
     return [

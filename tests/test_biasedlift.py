@@ -1,5 +1,6 @@
 """Biased-graph lifts, spikes, categories and the excluded-minor generator."""
 import json
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -21,12 +22,12 @@ from fractalcensus.biasedlift import (
     PremiseViolated,
     SpikeSpec,
     StratumRow,
+    TooLarge,
     _family_from_cells,
     _ham_mask,
     _pair_mask,
     _trun_orbits,
     _trun_perm_maps,
-    _trun_vectors,
     bottom_construct,
     bottom_index_sets,
     bottom_solution_count,
@@ -60,6 +61,7 @@ from fractalcensus.biasedlift import (
     spikespec_from_json,
     spikespec_to_json,
     strata_csv,
+    strata_rows,
     strata_total,
     validate_linear_class,
     verify_sk_excluded_minor,
@@ -75,6 +77,7 @@ from fractalcensus.kernel import (
 from fractalcensus.sparsepaving import (
     NotASolution,
     TooSmall,
+    _lexmin,
     _lexmin_classes,
     _perm_cell_maps,
 )
@@ -382,6 +385,87 @@ def test_glance_matches_per_last_reference(t, s, p, raw):
 # -- orbit machinery ----------------------------------------------------------------
 
 
+# Oracle for _trun_orbits: a pruned recursion over every labelled trun
+# vector, independent of the one-pick extension.
+
+
+@lru_cache(maxsize=None)
+def _trun_pair_selectors(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Per cell, the indices of ordered-pair distances it contributes to.
+
+    Pairs are (i, j) over the truncated indices plus (i, last); a cell
+    splits (i, j) when exactly one of the bits is set and (i, last) when
+    bit i is clear.
+    """
+    idxpairs = list(combinations(range(m - 1), 2)) + [(i, m) for i in range(m - 1)]
+    rows = []
+    for cell in range(1 << (m - 1)):
+        hit = []
+        for pi, (i, j) in enumerate(idxpairs):
+            if j == m:
+                if not cell >> i & 1:
+                    hit.append(pi)
+            elif (cell >> i ^ cell >> j) & 1:
+                hit.append(pi)
+        rows.append(tuple(hit))
+    return tuple(rows), len(idxpairs)
+
+
+def _trun_vectors(total: int, m: int) -> list[tuple[int, ...]]:
+    """Cell vectors with the given total whose pairwise distances all reach 2."""
+    rows, npairs = _trun_pair_selectors(m)
+    ncells = 1 << (m - 1)
+    # suffix aids for pruning: which pairs any later cell can still feed,
+    # and the largest number of pairs a later cell feeds at once
+    suffix_mask = [0] * (ncells + 1)
+    suffix_width = [0] * (ncells + 1)
+    for pos in range(ncells - 1, -1, -1):
+        pm = 0
+        for pi in rows[pos]:
+            pm |= 1 << pi
+        suffix_mask[pos] = suffix_mask[pos + 1] | pm
+        suffix_width[pos] = max(suffix_width[pos + 1], len(rows[pos]))
+    deficits = [2] * npairs
+    out: list[tuple[int, ...]] = []
+    cells = [0] * ncells
+
+    def rec(pos: int, rest: int, need_mask: int, need_sum: int) -> None:
+        if need_mask & ~suffix_mask[pos]:
+            return
+        if need_sum > rest * suffix_width[pos]:
+            return
+        saved = [deficits[pi] for pi in rows[pos]]
+        if pos == ncells - 1:
+            remaining = need_sum
+            for pi in rows[pos]:
+                drop = min(rest, deficits[pi])
+                deficits[pi] -= drop
+                remaining -= drop
+            if remaining == 0:
+                cells[pos] = rest
+                out.append(tuple(cells))
+                cells[pos] = 0
+        else:
+            for v in range(rest + 1):
+                if v:
+                    for pi in rows[pos]:
+                        if deficits[pi] > 0:
+                            deficits[pi] -= 1
+                            need_sum -= 1
+                            if deficits[pi] == 0:
+                                need_mask &= ~(1 << pi)
+                cells[pos] = v
+                rec(pos + 1, rest - v, need_mask, need_sum)
+            cells[pos] = 0
+        for pi, old in zip(rows[pos], saved):
+            deficits[pi] = old
+
+    rec(0, total, (1 << npairs) - 1, 2 * npairs)
+    return out
+
+
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_batched_lexmin_matches_scalar_on_trun_vectors(m):
     tabs = _trun_perm_maps(m)
@@ -430,6 +514,44 @@ def test_trun_orbit_counts():
     assert len(_trun_orbits(5, 2)) == 4
     # m = 3 needs every pairwise distance >= 2, so t = 3 forces (1,1,1,0)
     assert len(_trun_orbits(3, 3)) == 1
+    assert _trun_orbits(4, 1) == ((4,),)
+
+
+@pytest.mark.parametrize(
+    "t, m", [(t, m) for m in range(2, 6) for t in range(7)] + [(5, 6)]
+)
+def test_trun_orbits_match_labelled_oracle(t, m):
+    tabs = _trun_perm_maps(m)
+    arr = np.array(_trun_vectors(t, m), dtype=np.uint8).reshape(-1, 1 << (m - 1))
+    assert list(_trun_orbits(t, m)) == _lexmin_classes(arr, tabs)
+
+
+def test_trun_orbit_counts_at_six_and_seven():
+    assert len(_trun_orbits(6, 6)) == 742
+    assert len(_trun_orbits(7, 5)) == 800
+
+
+def _trun_cells(t, picks):
+    # cell I counts the coordinates where exactly the picks in I agree
+    # with the last pick
+    cells = [0] * (1 << (len(picks) - 1))
+    for j in range(t):
+        side = picks[-1] >> j & 1
+        cells[sum(1 << i for i, p in enumerate(picks[:-1]) if p >> j & 1 == side)] += 1
+    return cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7), st.lists(st.integers(0, 127), min_size=2, max_size=12))
+def test_trun_orbits_hold_every_pick_family(t, raw):
+    picks = []
+    for x in raw:
+        x &= (1 << t) - 1
+        if all((x ^ y).bit_count() >= 2 for y in picks) and len(picks) < 6:
+            picks.append(x)
+    assume(len(picks) >= 2)
+    m = len(picks)
+    assert _lexmin(_trun_cells(t, picks), _trun_perm_maps(m)) in _trun_orbits(t, m)
 
 
 # -- categories ---------------------------------------------------------------------
@@ -514,6 +636,19 @@ def test_census_strata_shape():
     assert text.endswith("\n")
     with pytest.raises(OddSize):
         census_sk_strata(7, 2)
+
+
+def test_strata_rows_bounds():
+    # odd sizes are rows of the gamma table; only the census needs even n
+    assert strata_rows(8, 2) == census_sk_strata(8, 2)
+    assert {r.n for r in strata_rows(7, 2)} == {7}
+    for n, k in [(-1, 2), (8, -1)]:
+        with pytest.raises(OutOfRange):
+            strata_rows(n, k)
+    with pytest.raises(TooLarge):
+        strata_rows(7, 7)
+    with pytest.raises(TooLarge):
+        census_sk_strata(8, 7)
 
 
 def test_census_strata_bounds_exact():

@@ -222,7 +222,13 @@ def test_unwritable_out_exits_cleanly(u24_file, tmp_path, capsys):
         ["sp", "census", "--n", "6", "--k", "-1"],
         ["slope", "--source", "eqn1", "--k", "-2", "--range", "1..10"],
         ["slope", "--source", "eqn1", "--k", "-1", "--range", "1..10"],
+        ["sp", "exminors", "--n", "-5", "--k", "2"],
     ],
 )
 def test_negative_sizes_and_bounds_exit_cleanly(argv, capsys):
     assert _exit_one(argv, capsys) == "OutOfRange"
+
+
+def test_gamma_sk_keeps_strata_bound_cap(capsys):
+    argv = ["gamma", "sk", "--k", "7", "--t", "6..7"]
+    assert _exit_one(argv, capsys) == "TooLarge"

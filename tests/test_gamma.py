@@ -12,6 +12,7 @@ from fractalcensus.gamma import (
     gamma_sk_table,
     slope_fit,
 )
+from fractalcensus.biasedlift import TooLarge
 from fractalcensus.kernel import OutOfRange
 
 
@@ -41,6 +42,8 @@ def test_sk_table_rows_and_odd_sizes():
         assert r.m_mode == "upper" and r.x_mode == "lower"
     with pytest.raises(OutOfRange):
         gamma_sk_table(1, [6])
+    with pytest.raises(TooLarge):
+        gamma_sk_table(7, [6])
     assert gamma_sk_table(2, []) == []
 
 

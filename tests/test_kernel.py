@@ -107,6 +107,20 @@ def _gate_witness(n: int, bases) -> tuple[int, int, int] | None:
     return None
 
 
+def _loop_degrees(m: Matroid) -> tuple[tuple[int, ...], list[list[int]]]:
+    # per-basis loops: basis degree of each element, pair degree of each pair
+    deg = [0] * m.n
+    pair = [[0] * m.n for _ in range(m.n)]
+    for b in m.bases:
+        es = sorted(bits(b))
+        for i, e in enumerate(es):
+            deg[e] += 1
+            for f in es[i + 1 :]:
+                pair[e][f] += 1
+                pair[f][e] += 1
+    return tuple(deg), pair
+
+
 def _perm_scan(m1: Matroid, m2: Matroid) -> bool:
     if (m1.n, m1.r, len(m1.bases)) != (m2.n, m2.r, len(m2.bases)):
         return False
@@ -172,6 +186,38 @@ def test_exchange_gate_matches_scan_exhaustively():
                 assert _gate_witness(n, fam) == want
                 rejected += want is not None
     assert rejected == 1731
+
+
+def _assert_degrees_match_loops(m: Matroid) -> None:
+    deg, pair = _loop_degrees(m)
+    assert m.basis_degrees() == deg
+    assert all(type(d) is int for d in m.basis_degrees())
+    assert m._pair_degrees() == pair
+
+
+def test_degrees_match_loops_exhaustively():
+    # every matroid on at most 5 labelled elements
+    count = 0
+    for n in range(6):
+        for r in range(n + 1):
+            cand = subset_masks(n, r)
+            for pick in range(1, 1 << len(cand)):
+                fam = [b for i, b in enumerate(cand) if pick >> i & 1]
+                if _brute_exchange_witness(fam) is None:
+                    _assert_degrees_match_loops(make_matroid(n, fam))
+                    count += 1
+    assert count == 2229 - 1731
+
+
+def test_degrees_past_one_byte():
+    # 924 bases, basis degree 462: the counts must not wrap
+    _assert_degrees_match_loops(uniform(6, 12))
+
+
+def test_profiles_are_cached():
+    m = uniform(2, 5)
+    assert m._profiles() is m._profiles()
+    assert m._profiles() == [(4, (1, 1, 1, 1))] * 5
 
 
 def test_make_matroid_keeps_rank_table():
@@ -437,6 +483,11 @@ def test_cyclic_flat_reconstruction(m: Matroid):
         dep = _brute_rank(m.bases, x) < x.bit_count() if x else False
         rebuilt = any((x & f.flat).bit_count() > f.rank for f in flats)
         assert dep == rebuilt
+
+
+@given(matroids())
+def test_degrees_match_loops(m: Matroid):
+    _assert_degrees_match_loops(m)
 
 
 @settings(max_examples=40)
