@@ -19,7 +19,7 @@ import numpy as np
 
 from .biasedlift import sk_excluded_minor_classes, strata_rows, strata_total
 from .kernel import MatroidError, OutOfRange
-from .sparsepaving import TooSmall, census_pk, sp_excluded_minors
+from .sparsepaving import TooSmall, census_pk, check_exminor_bound, sp_excluded_minors
 
 
 class DegenerateSeries(MatroidError):
@@ -55,6 +55,8 @@ def gamma_pk_table(k: int, sizes: Iterable[int]) -> list[GammaRow]:
     Member counts are exact census values; excluded-minor counts come from
     the collar construction and are lower bounds.
     """
+    # the census at a bound past the sweep's could run long before failing
+    check_exminor_bound(k)
     rows = []
     for n in sizes:
         m = sum(row.count for row in census_pk(n, k))

@@ -11,9 +11,12 @@ The exchange gate :func:`make_matroid` checks the axiom literally, but by
 table lookup: it builds the 2^n rank table of the candidate family and makes
 one vectorised lookup per (basis, element) pair instead of scanning basis
 pairs.  Its cost is therefore set by 2^n, not by the number of bases.
+Minors are read off the same table: the rank function of M \\ D / C is
+r(X | C) - r(C), so :meth:`Matroid.minor` slices the parent's table instead
+of rebuilding one from the surviving bases.
 
 Desk-scale bound: ground sets are capped at 24 elements (masks stay inside a
-machine word).  The subset-table oracles (exchange gate, circuits,
+machine word).  The subset-table oracles (exchange gate, minors, circuits,
 hyperplanes, cyclic flats) materialise 2^n entries and are intended for n
 well below the cap; at the cap one table is 32 MB and about a second.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -92,10 +95,24 @@ class SetFamily:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        return mask in self._member_set
+
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
 
     def as_sets(self) -> list[tuple[int, ...]]:
         return [elements_of(m) for m in self.members]
+
+
+@lru_cache(maxsize=None)
+def _subset_sizes(n: int) -> "np.ndarray":
+    """|X| for every subset X of {0..n-1}, as a read-only int8 table."""
+    size = np.zeros(1 << n, dtype=np.int8)
+    for e in range(n):
+        size.reshape(-1, 2, 1 << e)[:, 1, :] += 1
+    size.flags.writeable = False
+    return size
 
 
 @dataclass(frozen=True)
@@ -278,38 +295,16 @@ class Matroid:
             self._cache["cyclic_flats"] = got
         return list(got)
 
-    def _bases_array(self) -> "np.ndarray":
-        arr = self._cache.get("basesarr")
-        if arr is None:
-            arr = np.array(self.bases, dtype=np.uint32)
-            self._cache["basesarr"] = arr
-        return arr
-
     # -- minors, duality, components ----------------------------------------
-
-    def _minor_single(self, e: int, is_contract: bool) -> "Matroid | None":
-        """Vectorized one-element minor; None when rank degenerates."""
-        arr = self._bases_array()
-        hit = (arr >> e) & 1 == 1
-        if is_contract:
-            if not hit.any():  # loop: contraction equals deletion
-                return self._minor_single(e, False)
-            keep = arr[hit] ^ (1 << e)
-            r2 = self.r - 1
-        else:
-            keep = arr[~hit]
-            if not len(keep):  # coloop: rank drops, generic path
-                return None
-            r2 = self.r
-        low = np.uint32((1 << e) - 1)
-        keep = (keep & low) | (keep >> 1) & ~low
-        keep.sort()
-        return Matroid(self.n - 1, r2, tuple(int(b) for b in keep))
 
     def minor(self, delete: int, contract: int) -> "Matroid":
         """Delete and contract disjoint subsets, then relabel to {0..n'-1}.
 
-        Relabelling is order-preserving on the surviving elements.
+        The minor's rank function is r(X | C) - r(C) (Oxley, *Matroid
+        Theory*, 3.1), so its rank table is a slice of this one: bits of D
+        fixed at 0, bits of C at 1.  Bases are the full-rank r'-sets of the
+        slice, ascending.  Relabelling is order-preserving on the surviving
+        elements, and the minor keeps the sliced table cached.
         """
         full = self.full_mask
         if delete < 0 or delete > full or contract < 0 or contract > full:
@@ -319,45 +314,20 @@ class Matroid:
                 f"delete and contract share elements "
                 f"{sorted(elements_of(delete & contract))}"
             )
-        removed = delete | contract
-        if removed.bit_count() == 1:
-            got = self._minor_single(removed.bit_length() - 1, bool(contract))
-            if got is not None:
-                return got
-        # greedy maximal independent subset of the contracted part
-        ic = 0
-        rk = 0
-        for e in bits(contract):
-            trial = ic | (1 << e)
-            t = self.rank_of(trial)
-            if t > rk:
-                ic, rk = trial, t
-        nb = sorted({b ^ ic for b in self.bases if b & contract == ic})
-        keep = [b for b in nb if not b & delete]
-        remaining = full & ~delete & ~contract
-        if not keep:
-            # deletion removed every basis of the contraction: rank drops
-            r2 = max((b & remaining).bit_count() for b in nb)
-            grown = set()
-            for b in nb:
-                avail = elements_of(b & remaining)
-                if len(avail) < r2:
-                    continue
-                for combo in combinations(avail, r2):
-                    grown.add(mask_from(combo))
-            keep = sorted(grown)
-        else:
-            r2 = self.r - rk
-        # order-preserving compaction: drop removed bit positions high to low
-        removed = sorted(elements_of(full ^ remaining), reverse=True)
-        squeezed = []
-        for b in keep:
-            for e in removed:
-                low = (1 << e) - 1
-                b = (b & low) | (b >> 1) & ~low
-            squeezed.append(b)
-        squeezed.sort()
-        return Matroid(remaining.bit_count(), r2, tuple(squeezed))
+        _, rank = self._tables()
+        # axis j of the (2,)*n view holds element n-1-j
+        pick = tuple(
+            0 if delete >> e & 1 else 1 if contract >> e & 1 else slice(None)
+            for e in reversed(range(self.n))
+        )
+        sub = np.reshape(rank.reshape((2,) * self.n)[pick], -1) - rank[contract]
+        n2 = self.n - (delete | contract).bit_count()
+        size = _subset_sizes(n2)
+        indep = sub == size
+        r2 = int(sub[-1])
+        got = Matroid(n2, r2, tuple(np.flatnonzero(indep & (size == r2)).tolist()))
+        got._cache["tab"] = (indep, sub)
+        return got
 
     def delete(self, e: int) -> "Matroid":
         return self.minor(1 << e, 0)
@@ -409,7 +379,8 @@ class Matroid:
         """
         got = self._cache.get("deg")
         if got is None:
-            inc = self._bases_array()[:, None] >> np.arange(self.n, dtype=np.uint32) & 1
+            arr = np.array(self.bases, dtype=np.uint32)
+            inc = arr[:, None] >> np.arange(self.n, dtype=np.uint32) & 1
             gram = inc.T @ inc
             deg = tuple(np.diagonal(gram).tolist())
             np.fill_diagonal(gram, 0)

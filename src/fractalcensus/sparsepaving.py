@@ -9,6 +9,11 @@ families with the same circuit-hyperplane count), an exact census of
 the class with at most k circuit-hyperplanes, and the generator plus
 verifier for the excluded minors obtained from the weighted composition
 equation over index subsets.
+
+Census strata and excluded-minor candidates come from one chain of
+canonical cell vectors grown one member at a time, so no labelled vector
+is ever listed; every candidate is still confirmed by the kernel's
+definition of an excluded minor.
 """
 
 from __future__ import annotations
@@ -211,18 +216,11 @@ def venn_signature(f: CHFamily) -> VennSignature:
 
 @lru_cache(maxsize=None)
 def _perm_cell_maps(k: int) -> tuple[tuple[int, ...], ...]:
-    # per index permutation, the source cell for each target cell
-    out = []
-    for perm in permutations(range(k)):
-        tab = []
-        for mask in range(1 << k):
-            src = 0
-            for i in range(k):
-                if mask >> i & 1:
-                    src |= 1 << perm[i]
-            tab.append(src)
-        out.append(tuple(tab))
-    return tuple(out)
+    # per index permutation, the source cell for each target cell: bit i of
+    # the target moves to bit perm[i] of the source
+    perms = np.array(list(permutations(range(k))), dtype=np.int64)
+    cell_bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    return tuple(map(tuple, (cell_bits @ (1 << perms).T).T.tolist()))
 
 
 def _lexmin(cells, tabs) -> tuple[int, ...]:
@@ -322,89 +320,6 @@ def count_signatures(k: int, n: int) -> int:
     return _composition_count((1,) * (1 << k), n)
 
 
-def _signature_vectors(
-    n: int, m: int, r: int, sizes: frozenset[int] | None
-) -> list[tuple[int, ...]]:
-    """Cell vectors with per-index sums r and total n.
-
-    Masks are processed descending so each index's final contribution is
-    pinned at the smallest admissible mask containing it. When sizes is
-    given, cells indexed by other subset cardinalities stay zero.
-    """
-    order = [
-        mask
-        for mask in range((1 << m) - 1, 0, -1)
-        if sizes is None or mask.bit_count() in sizes
-    ]
-    empty_ok = sizes is None or 0 in sizes
-    size_lo = 1 if sizes is None else min(sizes, default=0)
-    size_hi = m if sizes is None else max(sizes, default=0)
-    last_pos: dict[int, int] = {}
-    for pos, mask in enumerate(order):
-        for i in bits(mask):
-            last_pos[i] = pos
-    if len(last_pos) < m and r > 0:
-        return []
-    cells = [0] * (1 << m)
-    sums = [0] * m
-    bits_of = [tuple(bits(mask)) for mask in order]
-    pin_at = [
-        tuple(i for i in bits_of[pos] if last_pos[i] == pos)
-        for pos in range(len(order))
-    ]
-    depth = len(order)
-    target_weight = m * r
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, total: int, weight: int) -> None:
-        rem = n - total
-        future = target_weight - weight
-        # every future element lands in a cell of size within the band,
-        # and exactly rem of them when the empty cell is off limits
-        if future > size_hi * rem:
-            return
-        if not empty_ok and future < size_lo * rem:
-            return
-        if pos == depth:
-            if future == 0 and (rem == 0 or empty_ok):
-                cells[0] = rem
-                out.append(tuple(cells))
-                cells[0] = 0
-            return
-        for i in range(m):
-            if r - sums[i] > rem:
-                return
-        bo = bits_of[pos]
-        hi = rem
-        for i in bo:
-            need = r - sums[i]
-            if need < hi:
-                hi = need
-        lo = 0
-        pins = pin_at[pos]
-        if pins:
-            v0 = r - sums[pins[0]]
-            for i in pins[1:]:
-                if r - sums[i] != v0:
-                    return
-            if v0 > hi:
-                return
-            lo = hi = v0
-        mask = order[pos]
-        size = len(bo)
-        for v in range(lo, hi + 1):
-            cells[mask] = v
-            for i in bo:
-                sums[i] += v
-            rec(pos + 1, total + v, weight + size * v)
-            for i in bo:
-                sums[i] -= v
-        cells[mask] = 0
-
-    rec(0, 0, 0)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pair_selectors(m: int) -> "np.ndarray":
     # column per ordered index pair, row per cell mask
@@ -422,22 +337,48 @@ def _pairs_apart(arr: "np.ndarray", m: int) -> "np.ndarray":
     return (arr.astype(np.int32) @ _pair_selectors(m) >= 2).all(axis=1)
 
 
-def _canonical_classes(vectors: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
-    """Distinct canonical forms of pairwise-valid vectors, sorted."""
-    arr = np.array(vectors, dtype=np.uint8).reshape(-1, 1 << m)
-    return _lexmin_classes(arr[_pairs_apart(arr, m)], _perm_cell_maps(m))
+def _family_levels(n: int, r: int, k: int, top: int) -> list[list[tuple[int, ...]]]:
+    """Canonical cell vectors of rank-r families with 1..top members.
 
-
-def _stratum_canonicals(n: int, m: int, sizes: frozenset[int] | None = None):
-    """Canonical realizable cell vectors for exactly-m families, by rank."""
-    out: dict[int, list[tuple[int, ...]]] = {}
-    lo_r = 2 if m >= 2 else 1
-    hi_r = n - 2 if m >= 2 else n - 1
-    for r in range(lo_r, hi_r + 1):
-        found = _canonical_classes(_signature_vectors(n, m, r, sizes), m)
-        if found:
-            out[r] = found
-    return out
+    Entry m - 1 lists, sorted, the least cell vector of every isomorphism
+    class of m-member families whose element degrees lie in the band
+    [max(0, m - k), k]: levels 1..k are the census strata, and levels
+    k+1..2k the excluded-minor candidates.  Levels grow one member at a
+    time (isomorph-free generation, McKay, J. Algorithms 26, 1998).
+    Dropping a member lowers each degree by at most 1 and keeps every pair
+    apart, so each class at level m extends some representative v at
+    m - 1: the new member takes the top index and holds a_I of the v_I
+    elements of each cell I, giving the child (v - a) ++ a.
+    """
+    levels = [[(n - r, r)] if 1 <= r <= n - 1 else []]
+    for m in range(2, top + 1):
+        half = 1 << (m - 1)
+        lo = max(0, m - k)
+        # member[I, i]: old member i holds the elements of cell I
+        member = np.arange(half)[:, None] >> np.arange(m - 1) & 1
+        size = member.sum(axis=1)
+        kids = [np.zeros((0, 2 * half), dtype=np.uint8)]
+        for v in levels[-1]:
+            vec = np.array(v, dtype=np.uint8)
+            cells = np.flatnonzero(vec)
+            # the grid spans the nonzero cells only, at most n of them and
+            # 2^n rows: over all 64 cells of a level-6 parent np.indices
+            # would need 65 axes, past numpy's cap.  Cells below the band
+            # move whole into the new member and cells at its top stay out,
+            # so every nonzero child cell is inside the band.
+            low = np.where(size[cells] < lo, vec[cells], 0)
+            high = np.where(size[cells] < k, vec[cells], 0)
+            grid = np.indices(high - low + 1, dtype=np.uint8).reshape(len(cells), -1).T
+            grid += low
+            grid = grid[grid.sum(axis=1) == r]
+            a = np.zeros((len(grid), half), dtype=np.uint8)
+            a[:, cells] = grid
+            # members have r elements each, so meeting every old member in
+            # at most r - 2 elements is a difference of 2 in both directions
+            a = a[(a @ member <= r - 2).all(axis=1)]
+            kids.append(np.hstack([vec - a, a]))
+        levels.append(_lexmin_classes(np.concatenate(kids), _perm_cell_maps(m)))
+    return levels[:top]
 
 
 def census_pk(n: int, k: int) -> list[CensusRow]:
@@ -447,11 +388,13 @@ def census_pk(n: int, k: int) -> list[CensusRow]:
         raise OutOfRange("size and bound must be non-negative")
     if k > 6:
         raise BoundTooLarge("census strata cap at k = 6")
-    rows = [CensusRow(n, k, 0, n + 1)]
-    for m in range(1, k + 1):
-        total = sum(len(v) for v in _stratum_canonicals(n, m).values())
-        rows.append(CensusRow(n, k, m, total))
-    return rows
+    counts = [0] * k
+    for r in range(1, n):
+        for i, level in enumerate(_family_levels(n, r, k, k)):
+            counts[i] += len(level)
+    return [CensusRow(n, k, 0, n + 1)] + [
+        CensusRow(n, k, m, c) for m, c in enumerate(counts, 1)
+    ]
 
 
 def census_csv(rows: list[CensusRow]) -> str:
@@ -557,47 +500,48 @@ def pk_member(m: Matroid, k: int) -> bool:
     return m.is_sparse_paving() and len(m.circuit_hyperplanes()) <= k
 
 
-def exminor_shards(n: int, k: int) -> list[tuple[int, int, int, int]]:
-    """Independent (n, k, m, r) work units for the excluded-minor sweep."""
-    if not 1 <= k <= 5:
-        raise BoundTooLarge("excluded-minor sweep needs 1 <= k <= 5")
+def check_exminor_bound(k: int) -> None:
+    """Raise unless the excluded-minor sweep supports the bound k."""
+    if not 1 <= k <= 4:
+        raise BoundTooLarge("excluded-minor sweep needs 1 <= k <= 4")
+
+
+def exminor_shards(n: int, k: int) -> list[tuple[int, int, int]]:
+    """Independent (n, k, r) work units for the excluded-minor sweep."""
+    check_exminor_bound(k)
     if n < 0:
         raise OutOfRange(f"negative size {n}")
     if n > 16:
         raise BoundTooLarge("excluded-minor sweep caps at n = 16")
-    return [
-        (n, k, m, r)
-        for m in range(k + 1, 2 * k + 1)
-        for r in range(2, n - 1)
-    ]
+    return [(n, k, r) for r in range(2, n - 1)]
 
 
-def exminor_shard(shard: tuple[int, int, int, int]) -> list[CHFamily]:
-    """Witness families of the verified classes of one (n, k, m, r) work unit.
+def exminor_shard(shard: tuple[int, int, int]) -> list[CHFamily]:
+    """Witness families of the verified classes of one (n, k, r) work unit,
+    by member count, then canonical order.
 
-    Candidates are realizable cell vectors whose per-element degrees stay
-    within [m-k, k]: deleting an element must drop the count to at most k
-    (degree at least m-k) and contracting must too (degree at most k).
-    Each survivor is still confirmed against the kernel definition of an
-    excluded minor before being reported.
+    Candidates are the families at levels k+1..2k of _family_levels, whose
+    element degrees stay within [m-k, k]: deleting an element must drop the
+    count to at most k (degree at least m-k) and contracting must too
+    (degree at most k).  Each candidate is still confirmed against the
+    kernel definition of an excluded minor before being reported.
     """
-    n, k, m, r = shard
-    sizes = frozenset(range(max(1, m - k), k + 1))
+    n, k, r = shard
     verified = []
-    for cells in _canonical_classes(_signature_vectors(n, m, r, sizes), m):
-        witness = realize_signature(VennSignature(m, cells))
-        if witness is None:
-            continue
-        if is_excluded_minor(ch_to_matroid(witness), lambda q: pk_member(q, k)):
-            verified.append(witness)
+    for m, level in enumerate(_family_levels(n, r, k, 2 * k)[k:], k + 1):
+        for cells in level:
+            witness = realize_signature(VennSignature(m, cells))
+            if is_excluded_minor(ch_to_matroid(witness), lambda q: pk_member(q, k)):
+                verified.append(witness)
     return verified
 
 
 def sp_excluded_minors(n: int, k: int) -> list[CHFamily]:
     """One witness family per isomorphism class of sparse paving excluded
-    minors for the at-most-k class, in canonical order."""
-    shards = exminor_shards(n, k)
-    return [f for found in run_sharded(exminor_shard, shards) for f in found]
+    minors for the at-most-k class, by member count, rank, then canonical
+    order."""
+    found = run_sharded(exminor_shard, exminor_shards(n, k))
+    return sorted((f for fams in found for f in fams), key=lambda f: f.k)
 
 
 # -- serialization ------------------------------------------------------------

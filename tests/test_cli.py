@@ -232,3 +232,14 @@ def test_negative_sizes_and_bounds_exit_cleanly(argv, capsys):
 def test_gamma_sk_keeps_strata_bound_cap(capsys):
     argv = ["gamma", "sk", "--k", "7", "--t", "6..7"]
     assert _exit_one(argv, capsys) == "TooLarge"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sp", "exminors", "--n", "8", "--k", "5"],
+        ["gamma", "pk", "--k", "5", "--n", "8..8"],
+    ],
+)
+def test_exminor_sweep_bound_cap(argv, capsys):
+    assert _exit_one(argv, capsys) == "BoundTooLarge"

@@ -12,8 +12,10 @@ from fractalcensus.gamma import (
     gamma_sk_table,
     slope_fit,
 )
+from fractalcensus import gamma
 from fractalcensus.biasedlift import TooLarge
 from fractalcensus.kernel import OutOfRange
+from fractalcensus.sparsepaving import BoundTooLarge
 
 
 def test_pk_anchor_row():
@@ -95,3 +97,12 @@ def test_slope_estimate_is_frozen():
     est = SlopeEstimate(2.0, (1, 9), 0.0)
     with pytest.raises(AttributeError):
         est.exponent = 3.0
+
+
+def test_pk_table_checks_sweep_bound_before_census(monkeypatch):
+    def census(n, k):
+        raise AssertionError("census ran before the bound check")
+
+    monkeypatch.setattr(gamma, "census_pk", census)
+    with pytest.raises(BoundTooLarge):
+        gamma_pk_table(5, [8])

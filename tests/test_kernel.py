@@ -25,6 +25,7 @@ from fractalcensus.kernel import (
     OverlappingSets,
     RankOutOfRange,
     RankZero,
+    SetFamily,
     SizeOverflow,
     direct_sum,
     is_excluded_minor,
@@ -131,6 +132,58 @@ def _perm_scan(m1: Matroid, m2: Matroid) -> bool:
     return False
 
 
+def _basis_list_minor(m: Matroid, delete: int, contract: int) -> Matroid:
+    # minor from the basis list: greedy basis of the contracted part, bases
+    # through it, rank-drop regrowth, then order-preserving compaction
+    full = m.full_mask
+    ic = 0
+    rk = 0
+    for e in bits(contract):
+        trial = ic | (1 << e)
+        t = m.rank_of(trial)
+        if t > rk:
+            ic, rk = trial, t
+    nb = sorted({b ^ ic for b in m.bases if b & contract == ic})
+    keep = [b for b in nb if not b & delete]
+    remaining = full & ~delete & ~contract
+    if not keep:
+        # deletion removed every basis of the contraction: rank drops
+        r2 = max((b & remaining).bit_count() for b in nb)
+        grown = set()
+        for b in nb:
+            avail = list(bits(b & remaining))
+            if len(avail) < r2:
+                continue
+            for combo in itertools.combinations(avail, r2):
+                grown.add(mask_from(combo))
+        keep = sorted(grown)
+    else:
+        r2 = m.r - rk
+    removed = sorted(bits(full ^ remaining), reverse=True)
+    squeezed = []
+    for b in keep:
+        for e in removed:
+            low = (1 << e) - 1
+            b = (b & low) | (b >> 1) & ~low
+        squeezed.append(b)
+    squeezed.sort()
+    return Matroid(remaining.bit_count(), r2, tuple(squeezed))
+
+
+def _assert_minor_matches_basis_list(m: Matroid, delete: int, contract: int) -> Matroid:
+    got = m.minor(delete, contract)
+    want = _basis_list_minor(m, delete, contract)
+    assert (got.n, got.r, got.bases) == (want.n, want.r, want.bases)
+    assert all(type(b) is int for b in got.bases)
+    return got
+
+
+def _assert_seeded_table_is_fresh(m: Matroid) -> None:
+    # the sliced table seeded into a minor is the one its bases give
+    for mine, fresh in zip(m._tables(), Matroid(m.n, m.r, m.bases)._tables()):
+        assert mine.dtype == fresh.dtype and (mine == fresh).all()
+
+
 # ---------------------------------------------------------------- fixtures
 
 
@@ -235,6 +288,13 @@ def test_make_matroid_rejects_empty_and_mixed():
         make_matroid(2, [0b100])
 
 
+def test_set_family_contains_matches_member_scan():
+    fam = uniform(2, 5).circuits()
+    for mask in range(-1, 1 << 6):
+        assert (mask in fam) == (mask in set(fam.members))
+    assert SetFamily(3, ()).__contains__(0) is False
+
+
 def test_uniform_edges():
     assert uniform(0, 3).bases == (0,)
     assert len(uniform(2, 4).bases) == 6
@@ -334,6 +394,27 @@ def test_minor_spike_contract():
     assert (m.n, m.r) == (7, 3)
     small = [c for c in m.circuits() if c.bit_count() <= 2]
     assert all(not c & 1 for c in small)
+
+
+def test_minor_matches_basis_list_exhaustively():
+    # every matroid on at most 5 labelled elements, every disjoint (D, C)
+    count = 0
+    for n in range(6):
+        for r in range(n + 1):
+            cand = subset_masks(n, r)
+            for pick in range(1, 1 << len(cand)):
+                fam = [b for i, b in enumerate(cand) if pick >> i & 1]
+                if _brute_exchange_witness(fam) is not None:
+                    continue
+                m = make_matroid(n, fam)
+                for parts in itertools.product(range(3), repeat=n):
+                    delete = mask_from(e for e in range(n) if parts[e] == 1)
+                    contract = mask_from(e for e in range(n) if parts[e] == 2)
+                    got = _assert_minor_matches_basis_list(m, delete, contract)
+                    if n <= 4:
+                        _assert_seeded_table_is_fresh(got)
+                    count += 1
+    assert count == 104650
 
 
 def test_minor_of_everything():
@@ -522,6 +603,18 @@ def test_minor_composition(m: Matroid, data):
     assert first.minor(d2_new, 0) == m.minor(d1 | d2, c1)
     c2_new = d2_new
     assert first.minor(0, c2_new) == m.minor(d1, c1 | d2)
+
+
+@settings(max_examples=100)
+@given(matroids(), st.data())
+def test_minor_matches_basis_list(m: Matroid, data):
+    # uniform draws include rank 0 (all loops) and rank n (all coloops)
+    parts = data.draw(
+        st.lists(st.integers(min_value=0, max_value=2), min_size=m.n, max_size=m.n)
+    )
+    delete = mask_from(e for e in range(m.n) if parts[e] == 1)
+    contract = mask_from(e for e in range(m.n) if parts[e] == 2)
+    _assert_seeded_table_is_fresh(_assert_minor_matches_basis_list(m, delete, contract))
 
 
 @given(matroids())

@@ -36,10 +36,10 @@ from fractalcensus.sparsepaving import (
     _allocate,
     _composition_count,
     _compositions,
+    _family_levels,
     _lexmin_classes,
     _pairs_apart,
     _perm_cell_maps,
-    _signature_vectors,
     census_csv,
     census_pk,
     ch_contract,
@@ -111,6 +111,128 @@ def brute_census_stratum(n: int, r: int, m: int) -> list[Matroid]:
         if not any(mat.is_isomorphic(rep) for rep in reps):
             reps.append(mat)
     return [rep for reps in buckets.values() for rep in reps]
+
+
+# -- labelled cell-vector oracle ---------------------------------------------
+#
+# The census and candidate enumeration before one-member extension: every
+# labelled cell vector, then the lexmin over all index orderings.
+
+
+def _perm_cell_maps_loop(k: int) -> tuple[tuple[int, ...], ...]:
+    out = []
+    for perm in permutations(range(k)):
+        tab = []
+        for mask in range(1 << k):
+            src = 0
+            for i in range(k):
+                if mask >> i & 1:
+                    src |= 1 << perm[i]
+            tab.append(src)
+        out.append(tuple(tab))
+    return tuple(out)
+
+
+def _signature_vectors(
+    n: int, m: int, r: int, sizes: frozenset[int] | None
+) -> list[tuple[int, ...]]:
+    """Cell vectors with per-index sums r and total n.
+
+    Masks are processed descending so each index's final contribution is
+    pinned at the smallest admissible mask containing it. When sizes is
+    given, cells indexed by other subset cardinalities stay zero.
+    """
+    order = [
+        mask
+        for mask in range((1 << m) - 1, 0, -1)
+        if sizes is None or mask.bit_count() in sizes
+    ]
+    empty_ok = sizes is None or 0 in sizes
+    size_lo = 1 if sizes is None else min(sizes, default=0)
+    size_hi = m if sizes is None else max(sizes, default=0)
+    last_pos: dict[int, int] = {}
+    for pos, mask in enumerate(order):
+        for i in bits(mask):
+            last_pos[i] = pos
+    if len(last_pos) < m and r > 0:
+        return []
+    cells = [0] * (1 << m)
+    sums = [0] * m
+    bits_of = [tuple(bits(mask)) for mask in order]
+    pin_at = [
+        tuple(i for i in bits_of[pos] if last_pos[i] == pos)
+        for pos in range(len(order))
+    ]
+    depth = len(order)
+    target_weight = m * r
+    out: list[tuple[int, ...]] = []
+
+    def rec(pos: int, total: int, weight: int) -> None:
+        rem = n - total
+        future = target_weight - weight
+        # every future element lands in a cell of size within the band,
+        # and exactly rem of them when the empty cell is off limits
+        if future > size_hi * rem:
+            return
+        if not empty_ok and future < size_lo * rem:
+            return
+        if pos == depth:
+            if future == 0 and (rem == 0 or empty_ok):
+                cells[0] = rem
+                out.append(tuple(cells))
+                cells[0] = 0
+            return
+        for i in range(m):
+            if r - sums[i] > rem:
+                return
+        bo = bits_of[pos]
+        hi = rem
+        for i in bo:
+            need = r - sums[i]
+            if need < hi:
+                hi = need
+        lo = 0
+        pins = pin_at[pos]
+        if pins:
+            v0 = r - sums[pins[0]]
+            for i in pins[1:]:
+                if r - sums[i] != v0:
+                    return
+            if v0 > hi:
+                return
+            lo = hi = v0
+        mask = order[pos]
+        size = len(bo)
+        for v in range(lo, hi + 1):
+            cells[mask] = v
+            for i in bo:
+                sums[i] += v
+            rec(pos + 1, total + v, weight + size * v)
+            for i in bo:
+                sums[i] -= v
+        cells[mask] = 0
+
+    rec(0, 0, 0)
+    return out
+
+
+def _canonical_classes(vectors: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
+    """Distinct canonical forms of pairwise-valid vectors, sorted."""
+    arr = np.array(vectors, dtype=np.uint8).reshape(-1, 1 << m)
+    return _lexmin_classes(arr[_pairs_apart(arr, m)], _perm_cell_maps(m))
+
+
+def _oracle_excluded_minors(n: int, k: int) -> list[CHFamily]:
+    # the sweep before one-member extension: (m, r) shards in order
+    found = []
+    for m in range(k + 1, 2 * k + 1):
+        sizes = frozenset(range(max(1, m - k), k + 1))
+        for r in range(2, n - 1):
+            for cells in _canonical_classes(_signature_vectors(n, m, r, sizes), m):
+                witness = realize_signature(VennSignature(m, cells))
+                if is_excluded_minor(ch_to_matroid(witness), lambda q: pk_member(q, k)):
+                    found.append(witness)
+    return found
 
 
 # -- validation ----------------------------------------------------------------
@@ -473,6 +595,8 @@ def test_sp_excluded_minors_bounds():
         sp_excluded_minors(6, 0)
     with pytest.raises(BoundTooLarge):
         sp_excluded_minors(17, 1)
+    with pytest.raises(BoundTooLarge):
+        sp_excluded_minors(8, 5)
 
 
 def test_sp_excluded_minors_complete_against_brute_small():
@@ -616,3 +740,38 @@ def test_exminor_witnesses_are_canonical_realizations(n, k):
     assert found
     for f in found:
         assert realize_signature(canonical_signature(f)) == f
+
+
+# -- one-member extension against the labelled oracle --------------------------
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_perm_cell_maps_match_loop(m):
+    assert _perm_cell_maps(m) == _perm_cell_maps_loop(m)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_family_levels_match_labelled_oracle(n):
+    for k in range(4):
+        for r in (0, n):  # no family has members of these sizes
+            assert _family_levels(n, r, k, 2 * k) == [[]] * (2 * k)
+        for r in range(1, n):
+            levels = _family_levels(n, r, k, 2 * k)
+            assert len(levels) == 2 * k
+            for m, level in enumerate(levels, 1):
+                sizes = frozenset(range(max(0, m - k), k + 1))
+                assert level == _canonical_classes(_signature_vectors(n, m, r, sizes), m)
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (8, 2), (8, 3), (9, 2), (10, 1)])
+def test_sp_excluded_minors_match_labelled_oracle_order(n, k):
+    assert sp_excluded_minors(n, k) == _oracle_excluded_minors(n, k)
+
+
+def test_sp_excluded_minors_at_bound_four():
+    # level 7 has 64 cells, one more axis than numpy allows an array
+    found = sp_excluded_minors(8, 4)
+    assert len(found) == 118
+    assert [f.k for f in found] == sorted(f.k for f in found)
+    # witnesses are allocated from canonical cell vectors, one per class
+    assert len({venn_signature(f) for f in found}) == 118
