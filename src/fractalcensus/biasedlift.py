@@ -33,6 +33,7 @@ from .kernel import (
     MatroidError,
     OutOfRange,
     RankedFlat,
+    _subset_sizes,
     direct_sum,
     is_excluded_minor,
     relabel,
@@ -321,13 +322,6 @@ def lift_circuits(g: GGraph, cls: LinearClass) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _popcounts(n: int) -> "np.ndarray":
-    counts = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        counts = np.concatenate([counts, counts + 1])
-    return counts
-
-
 def _matroid_from_circuits(n: int, r: int, circuits: tuple[int, ...]) -> Matroid:
     """Assemble bases by up-closing the circuit masks over all subsets."""
     if n > MAX_GROUND:
@@ -339,7 +333,7 @@ def _matroid_from_circuits(n: int, r: int, circuits: tuple[int, ...]) -> Matroid
         half = dep.reshape(-1, 2, 1 << e)
         half[:, 1, :] |= half[:, 0, :]
     indep = ~dep
-    counts = _popcounts(n)
+    counts = _subset_sizes(n)
     top = int(counts[indep].max())
     if top != r:
         raise MatroidError(
@@ -610,6 +604,7 @@ class Category:
 
 _CATALOG_N_CAP = 14
 _CATALOG_K_CAP = 6
+_STRATA_N_CAP = 511
 
 
 def _invariant_key(m: Matroid) -> tuple:
@@ -788,6 +783,9 @@ def strata_rows(n: int, k: int) -> list[StratumRow]:
         raise OutOfRange("size and bound must be non-negative")
     if k > _CATALOG_K_CAP:
         raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
+    # trun orbits are uint8 cell vectors and rows reach t = n // 2
+    if n > _STRATA_N_CAP:
+        raise TooLarge(f"strata rows capped at {_STRATA_N_CAP} elements, got {n}")
     rows = []
     # doubled-cycle lifts keyed by (rank, members, loops, thins, orbit)
     for r in range(3, n + 1):

@@ -7,18 +7,20 @@ corank one.  Higher layers construct matroids through combinatorial formulas
 and use these oracles as the independent check, so nothing here may assume
 any structure beyond the basis-exchange axiom.
 
-The exchange gate :func:`make_matroid` checks the axiom literally, but by
-table lookup: it builds the 2^n rank table of the candidate family and makes
-one vectorised lookup per (basis, element) pair instead of scanning basis
-pairs.  Its cost is therefore set by 2^n, not by the number of bases.
-Minors are read off the same table: the rank function of M \\ D / C is
-r(X | C) - r(C), so :meth:`Matroid.minor` slices the parent's table instead
-of rebuilding one from the surviving bases.
+Every subset oracle reads one cached table: the int8 rank of all 2^n
+subsets, built from the bases by two sweeps.  Independence is rank equal to
+size; circuits, hyperplanes, closures, cyclic flats and the sparse-paving
+predicates are masked comparisons or lookups on it.  The exchange gate
+:func:`make_matroid` checks the axiom literally, but by table lookup: one
+vectorised lookup per (basis, element) pair instead of a scan over basis
+pairs, so its cost is set by 2^n, not by the number of bases.  Minors are
+read off the same table: the rank function of M \\ D / C is r(X | C) - r(C),
+so :meth:`Matroid.minor` slices the parent's table instead of rebuilding one
+from the surviving bases.
 
 Desk-scale bound: ground sets are capped at 24 elements (masks stay inside a
-machine word).  The subset-table oracles (exchange gate, minors, circuits,
-hyperplanes, cyclic flats) materialise 2^n entries and are intended for n
-well below the cap; at the cap one table is 32 MB and about a second.
+machine word).  The rank table has 2^n entries and is intended for n well
+below the cap; at the cap it is 16 MB and about a second to build.
 """
 from __future__ import annotations
 
@@ -164,37 +166,30 @@ class Matroid:
             raise OutOfRange(f"subset {subset:#x} not within ground set")
         return max((subset & b).bit_count() for b in self.bases)
 
-    def _tables(self) -> tuple["np.ndarray", "np.ndarray"]:
-        """Independence and rank over all 2^n subsets, as flat arrays.
+    def _rank_table(self) -> "np.ndarray":
+        """Rank of every subset of the ground set, as a flat int8 array.
 
-        Down-closure marks subsets of bases independent; the rank of x is
-        then the largest independent set inside x, spread by a subset-max
-        sweep. Both sweeps are n vectorized passes over the 2^n table.
+        A down sweep from the bases gives every subset of a basis its size
+        and leaves -1 on the rest; an up sweep then spreads the rank of x as
+        the largest independent set inside x.  Both sweeps are n vectorized
+        passes over the 2^n table.  X is independent iff its entry equals
+        |X|, so this one cached table answers every subset query.
         """
         got = self._cache.get("tab")
         if got is None:
-            size = 1 << self.n
-            indep = np.zeros(size, dtype=bool)
-            indep[list(self.bases)] = True
-            rank = np.full(size, -1, dtype=np.int8)
-            rank[list(self.bases)] = self.r
+            got = np.full(1 << self.n, -1, dtype=np.int8)
+            got[list(self.bases)] = self.r
             for e in range(self.n):
-                step = 1 << e
-                iv = indep.reshape(-1, 2, step)
-                iv[:, 0, :] |= iv[:, 1, :]
-                rv = rank.reshape(-1, 2, step)
+                rv = got.reshape(-1, 2, 1 << e)
                 np.maximum(rv[:, 0, :], rv[:, 1, :] - 1, out=rv[:, 0, :])
-            # spread: rank of x is the max rank over independent subsets
             for e in range(self.n):
-                step = 1 << e
-                rv = rank.reshape(-1, 2, step)
+                rv = got.reshape(-1, 2, 1 << e)
                 np.maximum(rv[:, 1, :], rv[:, 0, :], out=rv[:, 1, :])
-            got = (indep, rank)
             self._cache["tab"] = got
         return got
 
     def closure(self, subset: int) -> int:
-        _, rank = self._tables()
+        rank = self._rank_table()
         rk = rank[subset]
         out = subset
         for e in range(self.n):
@@ -205,45 +200,19 @@ class Matroid:
 
     # -- circuits, hyperplanes, flats ---------------------------------------
 
-    def _circuit_array(self) -> "np.ndarray":
-        got = self._cache.get("circarr")
-        if got is None:
-            indep, _ = self._tables()
-            minimal = ~indep
-            for e in range(self.n):
-                step = 1 << e
-                mv = minimal.reshape(-1, 2, step)
-                iv = indep.reshape(-1, 2, step)
-                mv[:, 1, :] &= iv[:, 0, :]
-            got = np.flatnonzero(minimal)
-            self._cache["circarr"] = got
-        return got
-
     def circuits(self) -> SetFamily:
         """Minimal dependent sets, ascending by mask."""
         got = self._cache.get("circuits")
         if got is None:
-            got = SetFamily(self.n, tuple(int(x) for x in self._circuit_array()))
-            self._cache["circuits"] = got
-        return got
-
-    def _flat_table(self) -> "np.ndarray":
-        got = self._cache.get("flat")
-        if got is None:
-            _, rank = self._tables()
-            got = np.ones(1 << self.n, dtype=bool)
+            indep = self._rank_table() == _subset_sizes(self.n)
+            minimal = ~indep
             for e in range(self.n):
                 step = 1 << e
-                fv = got.reshape(-1, 2, step)
-                rv = rank.reshape(-1, 2, step)
-                fv[:, 0, :] &= rv[:, 1, :] > rv[:, 0, :]
-            self._cache["flat"] = got
+                mv = minimal.reshape(-1, 2, step)
+                mv[:, 1, :] &= indep.reshape(-1, 2, step)[:, 0, :]
+            got = SetFamily(self.n, tuple(np.flatnonzero(minimal).tolist()))
+            self._cache["circuits"] = got
         return got
-
-    def non_spanning_circuits(self) -> tuple[int, ...]:
-        _, rank = self._tables()
-        arr = self._circuit_array()
-        return tuple(int(c) for c in arr[rank[arr] < self.r])
 
     def hyperplanes(self) -> SetFamily:
         """Flats of rank r-1 (maximal proper flats)."""
@@ -251,19 +220,32 @@ class Matroid:
             raise RankZero("rank-0 matroid has no hyperplanes")
         got = self._cache.get("hyperplanes")
         if got is None:
-            _, rank = self._tables()
-            hits = np.flatnonzero(self._flat_table() & (rank == self.r - 1))
-            got = SetFamily(self.n, tuple(int(x) for x in hits))
+            rank = self._rank_table()
+            # a flat gains rank from every element added to it
+            flat = rank == self.r - 1
+            for e in range(self.n):
+                step = 1 << e
+                rv = rank.reshape(-1, 2, step)
+                flat.reshape(-1, 2, step)[:, 0, :] &= rv[:, 1, :] > rv[:, 0, :]
+            got = SetFamily(self.n, tuple(np.flatnonzero(flat).tolist()))
             self._cache["hyperplanes"] = got
         return got
 
     def circuit_hyperplanes(self) -> tuple[int, ...]:
-        """Circuits that are simultaneously hyperplanes, ascending."""
-        _, rank = self._tables()
-        flat = self._flat_table()
-        arr = self._circuit_array()
-        hits = arr[(rank[arr] == self.r - 1) & flat[arr]]
-        return tuple(int(c) for c in hits)
+        """Circuits that are simultaneously hyperplanes, ascending.
+
+        These are the r-sets X of rank r - 1 with r(X - e) = r - 1 for every
+        e in X (each proper subset is independent, so X is a circuit) and
+        r(X + e) = r for every e outside X (X is closed): one lookup per
+        (candidate, element) pair.
+        """
+        rank = self._rank_table()
+        r = self.r
+        cand = np.flatnonzero((_subset_sizes(self.n) == r) & (rank == r - 1))
+        elem = 1 << np.arange(self.n)
+        want = np.where(cand[:, None] & elem, r - 1, r)
+        hits = cand[(rank[cand[:, None] ^ elem] == want).all(axis=1)]
+        return tuple(hits.tolist())
 
     def cyclic_flats(self) -> list[RankedFlat]:
         """Closed sets whose restriction has no coloop.
@@ -275,7 +257,7 @@ class Matroid:
         """
         got = self._cache.get("cyclic_flats")
         if got is None:
-            _, rt = self._tables()
+            rt = self._rank_table()
             seeds = {self.closure(0)}
             for c in self.circuits():
                 seeds.add(self.closure(c))
@@ -314,7 +296,7 @@ class Matroid:
                 f"delete and contract share elements "
                 f"{sorted(elements_of(delete & contract))}"
             )
-        _, rank = self._tables()
+        rank = self._rank_table()
         # axis j of the (2,)*n view holds element n-1-j
         pick = tuple(
             0 if delete >> e & 1 else 1 if contract >> e & 1 else slice(None)
@@ -323,10 +305,10 @@ class Matroid:
         sub = np.reshape(rank.reshape((2,) * self.n)[pick], -1) - rank[contract]
         n2 = self.n - (delete | contract).bit_count()
         size = _subset_sizes(n2)
-        indep = sub == size
         r2 = int(sub[-1])
-        got = Matroid(n2, r2, tuple(np.flatnonzero(indep & (size == r2)).tolist()))
-        got._cache["tab"] = (indep, sub)
+        bases = np.flatnonzero((sub == r2) & (size == r2))
+        got = Matroid(n2, r2, tuple(bases.tolist()))
+        got._cache["tab"] = sub
         return got
 
     def delete(self, e: int) -> "Matroid":
@@ -480,15 +462,17 @@ class Matroid:
     # -- sparse paving ------------------------------------------------------
 
     def is_sparse_paving(self) -> bool:
-        """True when every non-spanning circuit is a hyperplane."""
-        if self.r in (0, self.n):
-            return True
-        _, rank = self._tables()
-        flat = self._flat_table()
-        arr = self._circuit_array()
-        low = rank[arr] < self.r
-        good = (rank[arr] == self.r - 1) & flat[arr]
-        return bool((~low | good).all())
+        """True when every (r-1)-set is independent and every (r+1)-set spans.
+
+        The first says M is paving, the second that its dual is (Oxley,
+        *Matroid Theory*, 2.1); at r = 0 or r = n both hold vacuously.
+        """
+        rank = self._rank_table()
+        size = _subset_sizes(self.n)
+        return bool(
+            (rank[size == self.r - 1] == self.r - 1).all()
+            and (rank[size == self.r + 1] == self.r).all()
+        )
 
 
 # -- constructors -----------------------------------------------------------
@@ -499,19 +483,20 @@ def _exchange_witness(m: Matroid) -> tuple[int, int, int] | None:
 
     For a basis B1 and x in B1 let Y be the y outside B1 with B1 - x + y a
     basis.  Exchange fails at (B1, x) for some B2 exactly when a basis
-    avoids Y + x, i.e. when r(E - Y - x) = r.  ``_tables`` computes
-    r(X) = max |X & B| for any equicardinal family, and an r-set is in its
-    down-closure only when it is a basis, so one table answers both the
-    membership lookups for Y and the rank test.
+    avoids Y + x, i.e. when r(E - Y - x) = r.  ``_rank_table`` computes
+    r(X) = max |X & B| for any equicardinal family, so an r-set has rank r
+    only when it is a basis, and one table answers both the membership
+    lookups for Y and the rank test.
     """
-    indep, rank = m._tables()
+    rank = m._rank_table()
     arr = np.array(m.bases, dtype=np.int32)
     elem = np.left_shift(1, np.arange(m.n), dtype=np.int32)
     inb = (arr[:, None] & elem) != 0  # (basis, x): x in the basis
     drop = arr[:, None] & ~elem  # B1 - x
     avoid = np.where(inb, elem, np.int32(0))  # grows to Y + x, one y at a time
     for y in range(m.n):
-        swap = indep[drop | elem[y]] & ~inb[:, y : y + 1]
+        # B1 - x + y is an r-set only for x in B1 and y outside it
+        swap = (rank[drop | elem[y]] == m.r) & inb & ~inb[:, y : y + 1]
         np.bitwise_or(avoid, elem[y], out=avoid, where=swap)
     fail = inb & (rank[m.full_mask & ~avoid] == m.r)
     rows = np.flatnonzero(fail.any(axis=1))

@@ -388,6 +388,9 @@ def census_pk(n: int, k: int) -> list[CensusRow]:
         raise OutOfRange("size and bound must be non-negative")
     if k > 6:
         raise BoundTooLarge("census strata cap at k = 6")
+    # cell vectors are uint8 and a cell holds up to n - 1 elements
+    if n > 256:
+        raise BoundTooLarge("census caps at n = 256")
     counts = [0] * k
     for r in range(1, n):
         for i, level in enumerate(_family_levels(n, r, k, k)):

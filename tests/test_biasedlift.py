@@ -651,6 +651,21 @@ def test_strata_rows_bounds():
         census_sk_strata(8, 7)
 
 
+def test_strata_rows_size_cap():
+    # rows reach t = n // 2, and trun cell vectors are uint8
+    n = 511
+    two = [row for row in strata_rows(n, 2) if row.category == "A" and row.m == 2]
+    # two picks at total t leave t - 1 orbits
+    assert [row.count for row in two] == [
+        sum(max(0, row.r - s - 1) for s in range(max(0, 2 * row.r - n), row.r + 1))
+        for row in two
+    ]
+    with pytest.raises(TooLarge):
+        strata_rows(512, 2)
+    with pytest.raises(TooLarge):
+        census_sk_strata(512, 2)
+
+
 def test_census_strata_bounds_exact():
     for k in range(3):
         for n in range(0, 13, 2):

@@ -237,6 +237,22 @@ def test_gamma_sk_keeps_strata_bound_cap(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["gamma", "sk", "--k", "2", "--t", "256..256"],
+        ["sk", "census", "--n", "512", "--k", "2", "--mode", "strata"],
+    ],
+)
+def test_strata_size_cap(argv, capsys):
+    assert _exit_one(argv, capsys) == "TooLarge"
+
+
+def test_sp_census_size_cap(capsys):
+    argv = ["sp", "census", "--n", "257", "--k", "2"]
+    assert _exit_one(argv, capsys) == "BoundTooLarge"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sp", "exminors", "--n", "8", "--k", "5"],
         ["gamma", "pk", "--k", "5", "--n", "8..8"],
     ],

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +36,7 @@ from fractalcensus.kernel import (
     relabel,
     uniform,
 )
+from fractalcensus.sparsepaving import ch_to_matroid, sp_excluded_minors
 
 
 # ---------------------------------------------------------------- oracles
@@ -180,8 +182,39 @@ def _assert_minor_matches_basis_list(m: Matroid, delete: int, contract: int) -> 
 
 def _assert_seeded_table_is_fresh(m: Matroid) -> None:
     # the sliced table seeded into a minor is the one its bases give
-    for mine, fresh in zip(m._tables(), Matroid(m.n, m.r, m.bases)._tables()):
-        assert mine.dtype == fresh.dtype and (mine == fresh).all()
+    mine = m._rank_table()
+    fresh = Matroid(m.n, m.r, m.bases)._rank_table()
+    assert mine.dtype == fresh.dtype == np.int8
+    assert mine.shape == fresh.shape == (1 << m.n,)
+    assert (mine == fresh).all()
+
+
+def _small_matroids():
+    # every matroid on at most 5 labelled elements
+    for n in range(6):
+        for r in range(n + 1):
+            cand = subset_masks(n, r)
+            for pick in range(1, 1 << len(cand)):
+                fam = [b for i, b in enumerate(cand) if pick >> i & 1]
+                if _brute_exchange_witness(fam) is None:
+                    yield make_matroid(n, fam)
+
+
+def _oracle_circuit_hyperplanes(m: Matroid) -> tuple[int, ...]:
+    if m.r == 0:
+        return ()
+    return tuple(sorted(set(m.circuits()) & set(m.hyperplanes())))
+
+
+def _oracle_sparse_paving(m: Matroid) -> bool:
+    # every circuit of rank below r is a hyperplane
+    low = [c for c in m.circuits() if m.rank_of(c) < m.r]
+    return not low or set(low) <= set(m.hyperplanes())
+
+
+def _assert_sp_predicates_match_oracle(m: Matroid) -> None:
+    assert m.is_sparse_paving() == _oracle_sparse_paving(m)
+    assert m.circuit_hyperplanes() == _oracle_circuit_hyperplanes(m)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -249,16 +282,10 @@ def _assert_degrees_match_loops(m: Matroid) -> None:
 
 
 def test_degrees_match_loops_exhaustively():
-    # every matroid on at most 5 labelled elements
     count = 0
-    for n in range(6):
-        for r in range(n + 1):
-            cand = subset_masks(n, r)
-            for pick in range(1, 1 << len(cand)):
-                fam = [b for i, b in enumerate(cand) if pick >> i & 1]
-                if _brute_exchange_witness(fam) is None:
-                    _assert_degrees_match_loops(make_matroid(n, fam))
-                    count += 1
+    for m in _small_matroids():
+        _assert_degrees_match_loops(m)
+        count += 1
     assert count == 2229 - 1731
 
 
@@ -274,7 +301,9 @@ def test_profiles_are_cached():
 
 
 def test_make_matroid_keeps_rank_table():
-    assert "tab" in make_matroid(5, subset_masks(5, 2))._cache
+    tab = make_matroid(5, subset_masks(5, 2))._cache["tab"]
+    assert isinstance(tab, np.ndarray) and tab.dtype == np.int8
+    assert tab.tolist() == [min(x.bit_count(), 2) for x in range(1 << 5)]
 
 
 def test_make_matroid_rejects_empty_and_mixed():
@@ -397,23 +426,17 @@ def test_minor_spike_contract():
 
 
 def test_minor_matches_basis_list_exhaustively():
-    # every matroid on at most 5 labelled elements, every disjoint (D, C)
+    # every small matroid, every disjoint (D, C)
     count = 0
-    for n in range(6):
-        for r in range(n + 1):
-            cand = subset_masks(n, r)
-            for pick in range(1, 1 << len(cand)):
-                fam = [b for i, b in enumerate(cand) if pick >> i & 1]
-                if _brute_exchange_witness(fam) is not None:
-                    continue
-                m = make_matroid(n, fam)
-                for parts in itertools.product(range(3), repeat=n):
-                    delete = mask_from(e for e in range(n) if parts[e] == 1)
-                    contract = mask_from(e for e in range(n) if parts[e] == 2)
-                    got = _assert_minor_matches_basis_list(m, delete, contract)
-                    if n <= 4:
-                        _assert_seeded_table_is_fresh(got)
-                    count += 1
+    for m in _small_matroids():
+        n = m.n
+        for parts in itertools.product(range(3), repeat=n):
+            delete = mask_from(e for e in range(n) if parts[e] == 1)
+            contract = mask_from(e for e in range(n) if parts[e] == 2)
+            got = _assert_minor_matches_basis_list(m, delete, contract)
+            if n <= 4:
+                _assert_seeded_table_is_fresh(got)
+            count += 1
     assert count == 104650
 
 
@@ -471,6 +494,35 @@ def test_is_sparse_paving():
     assert not direct_sum(uniform(1, 2), uniform(2, 3)).is_sparse_paving()
     assert uniform(0, 2).is_sparse_paving()
     assert uniform(3, 3).is_sparse_paving()
+
+
+def test_sp_predicates_match_oracle_exhaustively():
+    # both oracle families checked against the subset scans too
+    count = sparse = 0
+    for m in _small_matroids():
+        assert list(m.circuits()) == _brute_circuits(m.n, m.bases)
+        if m.r:
+            assert list(m.hyperplanes()) == _brute_hyperplanes(m.n, m.bases, m.r)
+        _assert_sp_predicates_match_oracle(m)
+        count += 1
+        sparse += m.is_sparse_paving()
+    assert count == 498
+    assert 0 < sparse < count
+
+
+def test_sp_predicates_match_oracle_on_excluded_minors():
+    # the witnesses exceed the bound and their single-element minors meet
+    # it, so circuit-hyperplane counts on both sides of k are checked
+    seen = set()
+    for n in range(4, 10):
+        for k in range(1, 4):
+            for f in sp_excluded_minors(n, k):
+                m = ch_to_matroid(f)
+                minors = [m.delete(e) for e in range(n)] + [m.contract(e) for e in range(n)]
+                for q in [m] + minors:
+                    _assert_sp_predicates_match_oracle(q)
+                    seen.add((q.is_sparse_paving(), len(q.circuit_hyperplanes()) <= k))
+    assert seen == {(True, True), (True, False)}
 
 
 def test_is_excluded_minor():
@@ -615,6 +667,13 @@ def test_minor_matches_basis_list(m: Matroid, data):
     delete = mask_from(e for e in range(m.n) if parts[e] == 1)
     contract = mask_from(e for e in range(m.n) if parts[e] == 2)
     _assert_seeded_table_is_fresh(_assert_minor_matches_basis_list(m, delete, contract))
+
+
+@settings(max_examples=200)
+@given(matroids(), st.integers(0, 2), st.integers(0, 2))
+def test_sp_predicates_match_oracle(m: Matroid, loops: int, coloops: int):
+    m = direct_sum(direct_sum(m, uniform(0, loops)), uniform(coloops, coloops))
+    _assert_sp_predicates_match_oracle(m)
 
 
 @given(matroids())

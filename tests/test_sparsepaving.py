@@ -485,6 +485,20 @@ def test_census_pk_bound():
 
     with pytest.raises(BoundTooLarge):
         census_pk(8, 7)
+    # cell vectors are uint8; a cell holds up to n - 1 elements
+    with pytest.raises(BoundTooLarge):
+        census_pk(257, 2)
+
+
+def test_census_pk_at_size_cap():
+    # two r-sets meeting in i <= r - 2 elements, one class per (r, i)
+    n = 256
+    pairs = sum(max(0, r - 1 - max(0, 2 * r - n)) for r in range(1, n))
+    assert census_pk(n, 2) == [
+        CensusRow(n, 2, 0, n + 1),
+        CensusRow(n, 2, 1, n - 1),
+        CensusRow(n, 2, 2, pairs),
+    ]
 
 
 def test_census_pk_matches_labeled_enumeration():
