@@ -21,11 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from .bitset import _subset_sizes
 from .kernel import (
     MAX_GROUND,
     MalformedDocument,
@@ -33,7 +34,6 @@ from .kernel import (
     MatroidError,
     OutOfRange,
     RankedFlat,
-    _subset_sizes,
     direct_sum,
     is_excluded_minor,
     relabel,
@@ -48,6 +48,7 @@ from .sparsepaving import (
     _compositions,
     _lexmin,
     _lexmin_classes,
+    _perm_cell_maps,
 )
 
 SINGLE = "single"
@@ -528,29 +529,22 @@ def glance_isomorphic(d1, d2) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _trun_perm_maps(m: int) -> tuple[tuple[int, ...], ...]:
-    """Cell-index gather tables realizing every reordering of m picks.
+def _trun_perm_maps(m: int) -> "np.ndarray":
+    """Cell-index gather tables realizing every reordering of m picks, as a
+    read-only uint8 array with new_vec[J] = old_vec[tab[J]].
 
-    Reordering the picks permutes trun cells: with new last pick l, a cell
-    I maps to the agreement pattern against l, pulled back through the
-    permutation.  Tables satisfy new_vec[J] = old_vec[tab[J]].
+    A pair's sides across the picks form an m-bit pattern whose trun cell is
+    {i < m-1 : side_i = side_{m-1}}.  A pattern and its complement share a
+    cell and reordering commutes with complementing, so the Venn tables of
+    _perm_cell_maps fold: cell J is the pattern low ^ J, and its source
+    pattern is complemented when its top bit is set.
     """
-    ncells = 1 << (m - 1)
-    tabs = []
-    for sigma in permutations(range(m)):
-        last = sigma[m - 1]
-        tab = [0] * ncells
-        for cell in range(ncells):
-            def val(u: int) -> int:
-                return 0 if u == m - 1 or cell >> u & 1 else 1
-            vl = val(last)
-            target = 0
-            for pos in range(m - 1):
-                if val(sigma[pos]) == vl:
-                    target |= 1 << pos
-            tab[target] = cell
-        tabs.append(tuple(tab))
-    return tuple(tabs)
+    low = (1 << (m - 1)) - 1
+    src = _perm_cell_maps(m)[:, low ^ np.arange(low + 1)]
+    flip = (src >> (m - 1) & 1) * ((1 << m) - 1)
+    tabs = low & ~(src ^ flip)
+    tabs.flags.writeable = False
+    return tabs
 
 
 @lru_cache(maxsize=None)
@@ -584,7 +578,7 @@ def _trun_orbits(t: int, m: int) -> tuple[tuple[int, ...], ...]:
         a = np.indices(vec + 1).reshape(half, -1).T
         a = a[(vec @ agree + a @ sign >= 2).all(axis=1)]
         kids.append(np.hstack([vec - a, a]))
-    arr = np.concatenate(kids).astype(np.uint8)
+    arr = np.concatenate(kids).astype(np.min_scalar_type(t))
     return tuple(_lexmin_classes(arr, _trun_perm_maps(m)))
 
 
@@ -783,7 +777,7 @@ def strata_rows(n: int, k: int) -> list[StratumRow]:
         raise OutOfRange("size and bound must be non-negative")
     if k > _CATALOG_K_CAP:
         raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
-    # trun orbits are uint8 cell vectors and rows reach t = n // 2
+    # rows reach t = n // 2, so up to this cap a trun cell fits in a byte
     if n > _STRATA_N_CAP:
         raise TooLarge(f"strata rows capped at {_STRATA_N_CAP} elements, got {n}")
     rows = []
@@ -939,6 +933,9 @@ def verify_sk_excluded_minor(spec: SpikeSpec, k: int, mode: str = "auto") -> boo
 
 def sk_excluded_minor_classes(t: int, k: int) -> list[SpikeSpec]:
     """Constructed excluded minors at half-size t, one per signature class."""
+    # the k + 1 picks of each class must fit the 8-index permutation tables
+    if k > 7:
+        raise TooLarge(f"bound {k} above 7")
     out = []
     seen = set()
     for phi in bottom_solutions(t, k):

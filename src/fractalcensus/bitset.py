@@ -6,8 +6,10 @@ signatures) speaks this encoding.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -29,8 +31,16 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
+@lru_cache(maxsize=None)
+def _subset_sizes(n: int) -> "np.ndarray":
+    """|X| for every subset X of {0..n-1}, as a read-only int8 table."""
+    size = np.zeros(1 << n, dtype=np.int8)
+    for e in range(n):
+        size.reshape(-1, 2, 1 << e)[:, 1, :] += 1
+    size.flags.writeable = False
+    return size
+
+
 def subset_masks(n: int, size: int) -> list[int]:
     """All size-subsets of {0..n-1} as masks, sorted ascending by value."""
-    out = [mask_from(c) for c in combinations(range(n), size)]
-    out.sort()
-    return out
+    return np.flatnonzero(_subset_sizes(n) == size).tolist()

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bitset import bits, elements_of, mask_from, subset_masks
+from .bitset import _subset_sizes, bits, elements_of, mask_from, subset_masks
 
 MAX_GROUND = 24
 
@@ -105,16 +105,6 @@ class SetFamily:
 
     def as_sets(self) -> list[tuple[int, ...]]:
         return [elements_of(m) for m in self.members]
-
-
-@lru_cache(maxsize=None)
-def _subset_sizes(n: int) -> "np.ndarray":
-    """|X| for every subset X of {0..n-1}, as a read-only int8 table."""
-    size = np.zeros(1 << n, dtype=np.int8)
-    for e in range(n):
-        size.reshape(-1, 2, 1 << e)[:, 1, :] += 1
-    size.flags.writeable = False
-    return size
 
 
 @dataclass(frozen=True)

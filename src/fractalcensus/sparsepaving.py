@@ -215,17 +215,23 @@ def venn_signature(f: CHFamily) -> VennSignature:
 
 
 @lru_cache(maxsize=None)
-def _perm_cell_maps(k: int) -> tuple[tuple[int, ...], ...]:
-    # per index permutation, the source cell for each target cell: bit i of
-    # the target moves to bit perm[i] of the source
-    perms = np.array(list(permutations(range(k))), dtype=np.int64)
-    cell_bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
-    return tuple(map(tuple, (cell_bits @ (1 << perms).T).T.tolist()))
+def _perm_cell_maps(k: int) -> "np.ndarray":
+    """Read-only uint8 (k!, 2^k) gather tables, one row per permutation of
+    the k indices: bit i of a target cell moves to bit perm[i] of its source."""
+    if k > 8:
+        raise BoundTooLarge(f"permutation tables cap at 8 indices, got {k}")
+    perms = np.array(list(permutations(range(k))), dtype=np.int16)
+    cell_bits = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.int16)
+    tabs = ((1 << perms) @ cell_bits.T).astype(np.uint8)
+    tabs.flags.writeable = False
+    return tabs
 
 
 def _lexmin(cells, tabs) -> tuple[int, ...]:
-    """Least gathered cell vector over the tables, for one vector."""
-    return min(tuple(cells[s] for s in tab) for tab in tabs)
+    """Least gathered cell vector over the tables, for one vector: one gather
+    in the vector's smallest dtype, then one lexsort, first cell primary."""
+    rows = np.asarray(cells, dtype=np.min_scalar_type(max(cells)))[tabs]
+    return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
 
 def _lexmin_classes(arr: "np.ndarray", tabs) -> list[tuple[int, ...]]:

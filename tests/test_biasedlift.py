@@ -1,7 +1,7 @@
 """Biased-graph lifts, spikes, categories and the excluded-minor generator."""
 import json
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -307,6 +307,14 @@ def test_glance_thin_edges_enter_full_cell():
     assert sum(key.sig) == 5
 
 
+def test_glance_cells_past_a_byte():
+    # 300 thins put 300 or more elements in the full cell
+    picks = [0, 3, 12]
+    key = glance_signature((5, 300, 0, picks))
+    assert key == GlanceKey(0, 300, _glance_per_last(5, 300, picks))
+    assert max(key.sig) >= 300
+
+
 def test_glance_matches_kernel_on_witnesses():
     # equal keys must mean isomorphic lifts; spot-check with the kernel
     for t, m in [(5, 2), (5, 3), (6, 2)]:
@@ -466,6 +474,37 @@ def _trun_vectors(total: int, m: int) -> list[tuple[int, ...]]:
 
 
 
+def _trun_perm_maps_loop(m: int) -> tuple[tuple[int, ...], ...]:
+    """Reference trun tables: with new last pick l, a cell I maps to the
+    agreement pattern against l, pulled back through the permutation."""
+    ncells = 1 << (m - 1)
+    tabs = []
+    for sigma in permutations(range(m)):
+        last = sigma[m - 1]
+        tab = [0] * ncells
+        for cell in range(ncells):
+            def val(u: int) -> int:
+                return 0 if u == m - 1 or cell >> u & 1 else 1
+            vl = val(last)
+            target = 0
+            for pos in range(m - 1):
+                if val(sigma[pos]) == vl:
+                    target |= 1 << pos
+            tab[target] = cell
+        tabs.append(tuple(tab))
+    return tuple(tabs)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_trun_perm_maps_fold_the_venn_tables(m):
+    tabs = _trun_perm_maps(m)
+    assert tabs.dtype == np.uint8 and not tabs.flags.writeable
+    assert len(tabs) == len(_perm_cell_maps(m))
+    # the fold lists the orderings in another order, which no least
+    # vector can see
+    assert set(map(tuple, tabs.tolist())) == set(_trun_perm_maps_loop(m))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_batched_lexmin_matches_scalar_on_trun_vectors(m):
     tabs = _trun_perm_maps(m)
@@ -473,9 +512,9 @@ def test_batched_lexmin_matches_scalar_on_trun_vectors(m):
         vectors = _trun_vectors(t, m)
         for v in vectors:
             one = np.array([v], dtype=np.uint8)
-            assert _lexmin_classes(one, tabs) == [
-                min(tuple(v[x] for x in tab) for tab in tabs)
-            ]
+            want = min(tuple(v[x] for x in tab) for tab in tabs)
+            assert _lexmin_classes(one, tabs) == [want]
+            assert _lexmin(v, tabs) == want
         assert list(_trun_orbits(t, m)) == sorted(
             {min(tuple(v[x] for x in tab) for tab in tabs) for v in vectors}
         )
@@ -524,6 +563,12 @@ def test_trun_orbits_match_labelled_oracle(t, m):
     tabs = _trun_perm_maps(m)
     arr = np.array(_trun_vectors(t, m), dtype=np.uint8).reshape(-1, 1 << (m - 1))
     assert list(_trun_orbits(t, m)) == _lexmin_classes(arr, tabs)
+
+
+@pytest.mark.parametrize("t", [255, 300])
+def test_trun_orbit_cells_past_a_byte(t):
+    # two picks at distance 2..t, one orbit each
+    assert len(_trun_orbits(t, 2)) == t - 1
 
 
 def test_trun_orbit_counts_at_six_and_seven():

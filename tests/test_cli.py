@@ -250,6 +250,13 @@ def test_sp_census_size_cap(capsys):
     assert _exit_one(argv, capsys) == "BoundTooLarge"
 
 
+@pytest.mark.parametrize("t, k", [(18, 8), (20, 9), (22, 10)])
+def test_sk_exminors_bound_cap(t, k, capsys):
+    # k + 1 picks past the 8-index permutation tables
+    argv = ["sk", "exminors", "--t", str(t), "--k", str(k)]
+    assert _exit_one(argv, capsys) == "TooLarge"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

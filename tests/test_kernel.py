@@ -708,3 +708,12 @@ def test_exchange_gate_matches_scan(case):
 def test_exchange_gate_rank_edges(n):
     for r in (0, n):
         assert make_matroid(n, subset_masks(n, r)) == uniform(r, n)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_subset_masks_match_combinations(n):
+    for size in range(n + 1):
+        want = sorted(mask_from(c) for c in itertools.combinations(range(n), size))
+        got = subset_masks(n, size)
+        assert got == want
+        assert all(type(x) is int for x in got)

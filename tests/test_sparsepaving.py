@@ -23,6 +23,7 @@ from fractalcensus.kernel import (
     make_matroid,
 )
 from fractalcensus.sparsepaving import (
+    BoundTooLarge,
     CensusRow,
     CHFamily,
     CompositionSolution,
@@ -37,6 +38,7 @@ from fractalcensus.sparsepaving import (
     _composition_count,
     _compositions,
     _family_levels,
+    _lexmin,
     _lexmin_classes,
     _pairs_apart,
     _perm_cell_maps,
@@ -683,6 +685,7 @@ def test_batched_lexmin_matches_scalar_on_signature_vectors(m):
             for v in vectors:
                 one = np.array([v], dtype=np.uint8)
                 assert _lexmin_classes(one, tabs) == [_scalar_lexmin(v, tabs)]
+                assert _lexmin(v, tabs) == _scalar_lexmin(v, tabs)
             want = sorted({_scalar_lexmin(v, tabs) for v in vectors})
             assert _lexmin_classes(arr, tabs) == want
 
@@ -761,7 +764,18 @@ def test_exminor_witnesses_are_canonical_realizations(n, k):
 
 @pytest.mark.parametrize("m", range(7))
 def test_perm_cell_maps_match_loop(m):
-    assert _perm_cell_maps(m) == _perm_cell_maps_loop(m)
+    tabs = _perm_cell_maps(m)
+    assert tabs.dtype == np.uint8 and not tabs.flags.writeable
+    assert tuple(map(tuple, tabs.tolist())) == _perm_cell_maps_loop(m)
+
+
+def test_perm_cell_maps_cap_at_eight_indices():
+    # uint8 cells stop at 255, the last cell of 8 indices
+    tabs = _perm_cell_maps(8)
+    assert tabs.shape == (40320, 256)
+    assert tabs[0].tolist() == list(range(256))
+    with pytest.raises(BoundTooLarge):
+        _perm_cell_maps(9)
 
 
 @pytest.mark.parametrize("n", range(11))
