@@ -188,20 +188,6 @@ def cycles_of(g: GGraph) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _cycle_vertexmask(g: GGraph, cmask: int) -> int:
-    if g.kind == SINGLE:
-        return 1
-    if g.kind == TWO:
-        return 1 if cmask & g.loops_mask() else 0b11
-    if cmask & g.loops_mask():
-        return 1
-    rim = g.t + g.s
-    for i in range(g.t):
-        if cmask == _pair_mask(i):
-            return (1 << i) | (1 << (i + 1) % rim)
-    return (1 << rim) - 1
-
-
 # -- linear classes -----------------------------------------------------------
 
 
@@ -341,7 +327,7 @@ def _matroid_from_circuits(n: int, r: int, circuits: tuple[int, ...]) -> Matroid
             f"circuit clauses give rank {top} but the vertex count says {r}"
         )
     bases = np.flatnonzero(indep & (counts == r))
-    return Matroid(n, r, tuple(int(b) for b in bases))
+    return Matroid(n, r, tuple(bases.tolist()))
 
 
 def lift_matroid(g: GGraph, cls: LinearClass) -> Matroid:
@@ -602,15 +588,9 @@ _STRATA_N_CAP = 511
 
 
 def _invariant_key(m: Matroid) -> tuple:
-    return (m.r, len(m.bases), tuple(sorted(m.basis_degrees())))
-
-
-def _bucket_new(buckets: dict, m: Matroid) -> bool:
-    reps = buckets.setdefault(_invariant_key(m), [])
-    if any(m.is_isomorphic(rep) for rep in reps):
-        return False
-    reps.append(m)
-    return True
+    # each profile starts with the element's basis degree, so this covers the
+    # basis-degree multiset too
+    return (m.r, len(m.bases), tuple(sorted(m._profiles())))
 
 
 def _cycle_shapes(n: int) -> Iterator[tuple[int, int, int]]:
@@ -671,32 +651,40 @@ def _catalog_f(n: int) -> Iterator[Matroid]:
 
 
 @lru_cache(maxsize=None)
-def _category_catalog(n: int, k: int) -> dict[str, dict]:
-    """Members of each category at size n, deduplicated within category."""
-    catalog: dict[str, dict] = {tag: {} for tag in "ABCDEF"}
+def _category_catalog(n: int, k: int) -> dict[tuple, list[tuple[str, Matroid]]]:
+    """One (tag, representative) pair per isomorphism class of members at
+    size n, bucketed by invariant key.
+
+    The generators run in ABCDEF order and a member is stored only when no
+    representative in its bucket is isomorphic to it, so each class keeps
+    the tag of the first category that reaches it.
+    """
+    catalog: dict[tuple, list[tuple[str, Matroid]]] = {}
+    graphic = list(_catalog_d(n))
     for tag, gen in (
         ("A", _catalog_a(n, k)),
         ("B", _catalog_b(n, k)),
         ("C", _catalog_c(n, k)),
-        ("D", _catalog_d(n)),
+        ("D", graphic),
+        ("E", (m.dual() for m in graphic)),
         ("F", _catalog_f(n)),
     ):
         for m in gen:
-            _bucket_new(catalog[tag], m)
-    for key, reps in catalog["D"].items():
-        for m in reps:
-            _bucket_new(catalog["E"], m.dual())
+            reps = catalog.setdefault(_invariant_key(m), [])
+            if not any(m.is_isomorphic(rep) for _, rep in reps):
+                reps.append((tag, m))
     return catalog
 
 
 def categorize(m: Matroid, k: int) -> Category | None:
     """First category tag whose generated members contain m, else None.
 
-    Classification is generate-and-test against the catalogs, so a result
+    Classification is generate-and-test against the catalog, so a result
     of None is a certificate that m lies outside the class for this bound.
     Catalogs are cached per (size, bound); the very largest combination
-    (14 elements with bound 6) takes about 40 seconds to build on first use,
-    almost all of it in the catalog's pairwise isomorphism dedupe.
+    (14 elements with bound 6) takes about 24 seconds to build on first use
+    on a 2-vCPU host, about half of it assembling lifts; its dedupe makes 3,709
+    isomorphism tests.
     """
     if k < 0:
         raise OutOfRange(f"negative bound {k}")
@@ -704,10 +692,8 @@ def categorize(m: Matroid, k: int) -> Category | None:
         raise TooLargeForExact(f"ground size {m.n} above {_CATALOG_N_CAP}")
     if k > _CATALOG_K_CAP:
         raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
-    catalog = _category_catalog(m.n, k)
-    key = _invariant_key(m)
-    for tag in "ABCDEF":
-        if any(m.is_isomorphic(rep) for rep in catalog[tag].get(key, ())):
+    for tag, rep in _category_catalog(m.n, k).get(_invariant_key(m), ()):
+        if m.is_isomorphic(rep):
             return Category(tag)
     return None
 
@@ -728,22 +714,14 @@ def camera_fixtures() -> tuple[Matroid, ...]:
 
 
 def census_sk_exact(n: int, k: int) -> int:
-    """Isomorphism classes of n-element members, by global kernel dedupe."""
+    """Isomorphism classes of n-element members: the catalog's size."""
     if n < 0 or k < 0:
         raise OutOfRange("size and bound must be non-negative")
     if n > 12:
         raise TooLarge(f"exact census capped at 12 elements, got {n}")
     if k > _CATALOG_K_CAP:
         raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
-    catalog = _category_catalog(n, k)
-    seen: dict = {}
-    count = 0
-    for tag in "ABCDEF":
-        for reps in catalog[tag].values():
-            for m in reps:
-                if _bucket_new(seen, m):
-                    count += 1
-    return count
+    return sum(len(reps) for reps in _category_catalog(n, k).values())
 
 
 @dataclass(frozen=True)

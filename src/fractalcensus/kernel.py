@@ -9,7 +9,7 @@ any structure beyond the basis-exchange axiom.
 
 Every subset oracle reads one cached table: the int8 rank of all 2^n
 subsets, built from the bases by two sweeps.  Independence is rank equal to
-size; circuits, hyperplanes, closures, cyclic flats and the sparse-paving
+size; circuits, hyperplanes, cyclic flats and the sparse-paving
 predicates are masked comparisons or lookups on it.  The exchange gate
 :func:`make_matroid` checks the axiom literally, but by table lookup: one
 vectorised lookup per (basis, element) pair instead of a scan over basis
@@ -103,9 +103,6 @@ class SetFamily:
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
-    def as_sets(self) -> list[tuple[int, ...]]:
-        return [elements_of(m) for m in self.members]
-
 
 @dataclass(frozen=True)
 class RankedFlat:
@@ -148,7 +145,7 @@ class Matroid:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    # -- rank and closure --------------------------------------------------
+    # -- rank --------------------------------------------------------------
 
     def rank_of(self, subset: int) -> int:
         """Rank of a subset: the largest overlap with any basis."""
@@ -178,16 +175,6 @@ class Matroid:
             self._cache["tab"] = got
         return got
 
-    def closure(self, subset: int) -> int:
-        rank = self._rank_table()
-        rk = rank[subset]
-        out = subset
-        for e in range(self.n):
-            b = 1 << e
-            if not subset & b and rank[subset | b] == rk:
-                out |= b
-        return out
-
     # -- circuits, hyperplanes, flats ---------------------------------------
 
     def circuits(self) -> SetFamily:
@@ -204,19 +191,33 @@ class Matroid:
             self._cache["circuits"] = got
         return got
 
+    def _flat_sweep(self, cyclic: bool) -> "np.ndarray":
+        """Mask over all 2^n subsets of the flats, or of the cyclic flats.
+
+        X is a flat when every element outside X raises its rank, and a
+        flat is cyclic when no element of X lowers the rank on removal (its
+        restriction has no coloop).  One vectorised pass per element reads
+        both conditions off the rank table.
+        """
+        rank = self._rank_table()
+        keep = np.ones(1 << self.n, dtype=bool)
+        for e in range(self.n):
+            step = 1 << e
+            rv = rank.reshape(-1, 2, step)
+            kv = keep.reshape(-1, 2, step)
+            rises = rv[:, 1, :] > rv[:, 0, :]
+            kv[:, 0, :] &= rises
+            if cyclic:
+                kv[:, 1, :] &= ~rises
+        return keep
+
     def hyperplanes(self) -> SetFamily:
         """Flats of rank r-1 (maximal proper flats)."""
         if self.r == 0:
             raise RankZero("rank-0 matroid has no hyperplanes")
         got = self._cache.get("hyperplanes")
         if got is None:
-            rank = self._rank_table()
-            # a flat gains rank from every element added to it
-            flat = rank == self.r - 1
-            for e in range(self.n):
-                step = 1 << e
-                rv = rank.reshape(-1, 2, step)
-                flat.reshape(-1, 2, step)[:, 0, :] &= rv[:, 1, :] > rv[:, 0, :]
+            flat = self._flat_sweep(cyclic=False) & (self._rank_table() == self.r - 1)
             got = SetFamily(self.n, tuple(np.flatnonzero(flat).tolist()))
             self._cache["hyperplanes"] = got
         return got
@@ -238,28 +239,11 @@ class Matroid:
         return tuple(hits.tolist())
 
     def cyclic_flats(self) -> list[RankedFlat]:
-        """Closed sets whose restriction has no coloop.
-
-        Computed as the join-closure of circuit closures: every cyclic flat
-        is a join (closure of union) of circuit closures, and joins of
-        cyclic flats stay cyclic, so the scan is output-sensitive instead of
-        walking all 2^n subsets.
-        """
+        """Closed sets whose restriction has no coloop, by rank then mask."""
         got = self._cache.get("cyclic_flats")
         if got is None:
             rt = self._rank_table()
-            seeds = {self.closure(0)}
-            for c in self.circuits():
-                seeds.add(self.closure(c))
-            flats = set(seeds)
-            frontier = list(seeds)
-            while frontier:
-                f = frontier.pop()
-                for s in seeds:
-                    j = self.closure(f | s)
-                    if j not in flats:
-                        flats.add(j)
-                        frontier.append(j)
+            flats = np.flatnonzero(self._flat_sweep(cyclic=True)).tolist()
             got = sorted(
                 (RankedFlat(f, int(rt[f])) for f in flats),
                 key=lambda rf: (rf.rank, rf.flat),

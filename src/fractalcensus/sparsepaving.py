@@ -119,9 +119,6 @@ class CompositionSolution:
     index_sets: tuple[int, ...]
     values: tuple[int, ...]
 
-    def value_of(self, index_set: int) -> int:
-        return self.values[self.index_sets.index(index_set)]
-
 
 @dataclass(frozen=True)
 class CensusRow:

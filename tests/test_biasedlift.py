@@ -23,6 +23,11 @@ from fractalcensus.biasedlift import (
     SpikeSpec,
     StratumRow,
     TooLarge,
+    _catalog_a,
+    _catalog_b,
+    _catalog_c,
+    _catalog_d,
+    _catalog_f,
     _family_from_cells,
     _ham_mask,
     _pair_mask,
@@ -633,6 +638,49 @@ def test_categorize_gates():
         categorize(uniform(1, 2), 7)
 
 
+@lru_cache(maxsize=None)
+def _generated(n, k):
+    """Every member the six category generators produce at size n, in
+    ABCDEF order and without dedupe; E is the duals of the D members."""
+    graphic = list(_catalog_d(n))
+    return tuple(
+        (tag, m)
+        for tag, mats in (
+            ("A", _catalog_a(n, k)),
+            ("B", _catalog_b(n, k)),
+            ("C", _catalog_c(n, k)),
+            ("D", graphic),
+            ("E", [m.dual() for m in graphic]),
+            ("F", _catalog_f(n)),
+        )
+        for m in mats
+    )
+
+
+def _categorize_oracle(m, k):
+    """Tag of the first generated member isomorphic to m, else None."""
+    for tag, g in _generated(m.n, k):
+        if m.is_isomorphic(g):
+            return tag
+    return None
+
+
+def test_categorize_matches_generate_and_test_oracle():
+    for k in range(4):
+        for n in range(9):
+            cases = {
+                q
+                for _, m in _generated(n, k)
+                for q in (m, *map(m.delete, range(n)), *map(m.contract, range(n)))
+            }
+            for q in cases:
+                got = categorize(q, k)
+                assert (got and got.tag) == _categorize_oracle(q, k)
+    for m in camera_fixtures():
+        for k in range(4):
+            assert _categorize_oracle(m, k) is None
+
+
 def test_minor_closure_of_small_members():
     # single-element minors of members stay members
     mats = [
@@ -656,6 +704,29 @@ def test_census_sk_exact_small():
     assert census_sk_exact(1, 0) == 2
     # adding balance at two elements changes nothing
     assert census_sk_exact(2, 2) == 4
+
+
+# census_sk_exact(n, k): row n, column k
+_CENSUS_SK_EXACT = (
+    (1, 1, 1, 1, 1, 1, 1),
+    (2, 2, 2, 2, 2, 2, 2),
+    (4, 4, 4, 4, 4, 4, 4),
+    (8, 8, 8, 8, 8, 8, 8),
+    (17, 17, 17, 17, 17, 17, 17),
+    (32, 34, 34, 34, 34, 34, 34),
+    (48, 60, 62, 62, 62, 62, 62),
+    (64, 80, 88, 90, 92, 92, 92),
+    (84, 105, 119, 125, 134, 137, 139),
+    (104, 130, 150, 160, 176, 182, 186),
+    (128, 160, 190, 210, 253, 292, 347),
+    (152, 190, 230, 260, 330, 402, 508),
+    (180, 225, 280, 331, 484, 771, 1670),
+)
+
+
+def test_census_sk_exact_grid():
+    for n, row in enumerate(_CENSUS_SK_EXACT):
+        assert tuple(census_sk_exact(n, k) for k in range(7)) == row
 
 
 def test_census_sk_exact_gates():
