@@ -162,30 +162,56 @@ def _ham_mask(g: GGraph, pick: int) -> int:
     return m
 
 
-def _pick_of_ham(g: GGraph, mask: int) -> int | None:
-    """Inverse of :func:`_ham_mask`, or None when mask is not a Hamiltonian."""
-    if mask & g.loops_mask() or (mask & g.thins_mask()) != g.thins_mask():
-        return None
-    pick = 0
-    for i in range(g.t):
-        sub = mask >> (2 * i) & 0b11
-        if sub == 0b10:
-            pick |= 1 << i
-        elif sub != 0b01:
-            return None
-    return pick
+@lru_cache(maxsize=None)
+def _cycle_structure(g: GGraph) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """Cycles, thetas and near-disjoint cycle pairs of the shape.
+
+    Returns three read-only arrays: the cycles as edge masks, ascending;
+    the thetas as rows of three indices into the cycles; and the pairs of
+    cycles meeting in at most one vertex as rows of two indices.  This is
+    the one place that knows the shapes.  Loops sit on one vertex, so they
+    meet every other cycle there at most.  On two vertices, any three
+    joining edges make a theta.  On the cycle kind, a theta is a parallel
+    pair with the two Hamiltonians through its sides; two pair cycles share
+    at most a rim vertex, and a Hamiltonian meets every non-loop in two or
+    more vertices.
+    """
+    validate_ggraph(g)
+    if g.n > MAX_GROUND:
+        raise TooLarge(f"ground size {g.n} above {MAX_GROUND}")
+    loops = [1 << e for e in range(g.joining, g.n)]
+    cycles = list(loops)
+    thetas: list[tuple[int, ...]] = []
+    near = list(combinations(loops, 2))
+    if g.kind == TWO:
+        edges = [1 << e for e in range(g.joining)]
+        subs = [x | y for x, y in combinations(edges, 2)]
+        cycles += subs
+        thetas = [(x | y, x | z, y | z) for x, y, z in combinations(edges, 3)]
+        near += [(l, c) for l in loops for c in subs]
+    elif g.kind == CYCLE:
+        pairs = [_pair_mask(i) for i in range(g.t)]
+        hams = [_ham_mask(g, pick) for pick in range(1 << g.t)]
+        cycles += pairs + hams
+        thetas = [
+            (pairs[i], hams[pick], hams[pick | 1 << i])
+            for i in range(g.t)
+            for pick in range(1 << g.t)
+            if not pick >> i & 1
+        ]
+        near += list(combinations(pairs, 2))
+        near += [(l, c) for l in loops for c in pairs + hams]
+    cyc = np.array(sorted(cycles), dtype=np.int64)
+    tri = np.searchsorted(cyc, np.array(thetas, dtype=np.int64).reshape(-1, 3))
+    duo = np.searchsorted(cyc, np.array(near, dtype=np.int64).reshape(-1, 2))
+    for arr in (cyc, tri, duo):
+        arr.flags.writeable = False
+    return cyc, tri, duo
 
 
 def cycles_of(g: GGraph) -> tuple[int, ...]:
     """Edge masks of all cycles, ascending."""
-    validate_ggraph(g)
-    out = [1 << e for e in range(g.joining, g.n)]
-    if g.kind == TWO:
-        out += [(1 << x) | (1 << y) for x, y in combinations(range(g.joining), 2)]
-    elif g.kind == CYCLE:
-        out += [_pair_mask(i) for i in range(g.t)]
-        out += [_ham_mask(g, pick) for pick in range(1 << g.t)]
-    return tuple(sorted(out))
+    return tuple(_cycle_structure(g)[0].tolist())
 
 
 # -- linear classes -----------------------------------------------------------
@@ -213,6 +239,20 @@ def ham_class(g: GGraph, picks: Iterable[int]) -> LinearClass:
     return linear_class(_ham_mask(g, pick) for pick in picks)
 
 
+def _balanced(g: GGraph, cls: LinearClass) -> "np.ndarray":
+    """Boolean per cycle of g: is it a member of the class?"""
+    cycles = _cycle_structure(g)[0]
+    members = np.array(cls.members, dtype=np.int64)
+    at = np.searchsorted(cycles, members)
+    known = at < len(cycles)
+    known[known] = cycles[at[known]] == members[known]
+    if not known.all():
+        raise InvalidLinearClass(f"member {int(members[~known][0]):#x} is not a cycle")
+    bal = np.zeros(len(cycles), dtype=bool)
+    bal[at] = True
+    return bal
+
+
 def validate_linear_class(g: GGraph, cls: LinearClass) -> LinearClass:
     """Check membership in the cycle set plus the theta condition.
 
@@ -220,45 +260,11 @@ def validate_linear_class(g: GGraph, cls: LinearClass) -> LinearClass:
     restrictions (Hamiltonian-only members, edge-disjointness, the one-loop
     cap) belong to the catalog builders that need them.
     """
-    validate_ggraph(g)
-    if g.kind == CYCLE:
-        bal_pairs = set()
-        ham_picks = set()
-        for m in cls.members:
-            if m.bit_count() == 1 and m & g.loops_mask():
-                continue
-            if m.bit_count() == 2 and any(m == _pair_mask(i) for i in range(g.t)):
-                bal_pairs.add((m.bit_length() - 1) // 2)
-                continue
-            pick = _pick_of_ham(g, m)
-            if pick is None:
-                raise InvalidLinearClass(f"member {m:#x} is not a cycle")
-            ham_picks.add(pick)
-        # theta = Hamiltonian plus the other edge of one pair; its cycles are
-        # the two picks at distance one and the pair itself
-        for h1, h2 in combinations(sorted(ham_picks), 2):
-            d = h1 ^ h2
-            if d.bit_count() == 1 and (d.bit_length() - 1) not in bal_pairs:
-                raise InvalidLinearClass(
-                    f"picks {h1:#x} and {h2:#x} differ in a single pair"
-                )
-        for i in bal_pairs:
-            for h in ham_picks:
-                if h ^ (1 << i) not in ham_picks:
-                    raise InvalidLinearClass(
-                        f"balanced pair {i} needs picks closed under flipping it"
-                    )
-        return cls
-    allowed = set(cycles_of(g))
-    for m in cls.members:
-        if m not in allowed:
-            raise InvalidLinearClass(f"member {m:#x} is not a cycle")
-    if g.kind == TWO:
-        bal = set(cls.members)
-        for x, y, z in combinations(range(g.joining), 3):
-            trio = (1 << x | 1 << y, 1 << x | 1 << z, 1 << y | 1 << z)
-            if sum(c in bal for c in trio) == 2:
-                raise InvalidLinearClass("theta with exactly two balanced cycles")
+    cycles, thetas, _ = _cycle_structure(g)
+    bad = thetas[_balanced(g, cls)[thetas].sum(axis=1) == 2]
+    if len(bad):
+        names = ", ".join(f"{c:#x}" for c in cycles[bad[0]].tolist())
+        raise InvalidLinearClass(f"theta of {names} has exactly two balanced cycles")
     return cls
 
 
@@ -268,45 +274,18 @@ def validate_linear_class(g: GGraph, cls: LinearClass) -> LinearClass:
 def lift_circuits(g: GGraph, cls: LinearClass) -> tuple[int, ...]:
     """Circuit masks from the three clauses: balanced cycles, all-unbalanced
     thetas, and near-disjoint pairs of unbalanced cycles."""
-    bal = set(cls.members)
-    out = set(bal)
-    loops = [1 << e for e in range(g.joining, g.n)]
-    unb_loops = [l for l in loops if l not in bal]
-    for l1, l2 in combinations(unb_loops, 2):
-        out.add(l1 | l2)
-    if g.kind == TWO:
-        subs = [(1 << x) | (1 << y) for x, y in combinations(range(g.joining), 2)]
-        unb_subs = [m for m in subs if m not in bal]
-        for x, y, z in combinations(range(g.joining), 3):
-            trio = (1 << x | 1 << y, 1 << x | 1 << z, 1 << y | 1 << z)
-            if not any(c in bal for c in trio):
-                out.add(1 << x | 1 << y | 1 << z)
-        for l in unb_loops:
-            for m in unb_subs:
-                out.add(l | m)
-    elif g.kind == CYCLE:
-        pair2 = [_pair_mask(i) for i in range(g.t)]
-        hams = [_ham_mask(g, pick) for pick in range(1 << g.t)]
-        unb_pairs = [m for m in pair2 if m not in bal]
-        unb_hams = [h for h in hams if h not in bal]
-        for i in range(g.t):
-            for pick in range(1 << g.t):
-                if pick >> i & 1:
-                    continue
-                trio = (pair2[i], hams[pick], hams[pick | 1 << i])
-                if not any(c in bal for c in trio):
-                    out.add(trio[1] | trio[2])
-        # unbalanced cycle pairs: any two pair-cycles share at most a rim
-        # vertex, loops share at most the host; Hamiltonians meet everything
-        # else in two or more vertices except loops
-        for m1, m2 in combinations(unb_pairs, 2):
-            out.add(m1 | m2)
-        for l in unb_loops:
-            for m in unb_pairs:
-                out.add(l | m)
-            for h in unb_hams:
-                out.add(l | h)
-    return tuple(sorted(out))
+    cycles, thetas, near = _cycle_structure(g)
+    bal = _balanced(g, cls)
+    free_thetas = cycles[thetas[~bal[thetas].any(axis=1)]]
+    free_pairs = cycles[near[~bal[near].any(axis=1)]]
+    out = np.concatenate([
+        cycles[bal],
+        np.bitwise_or.reduce(free_thetas, axis=1),
+        np.bitwise_or.reduce(free_pairs, axis=1),
+    ])
+    # the clauses give distinct edge sets: one cycle, a theta, or two cycles
+    # meeting in at most a vertex
+    return tuple(np.sort(out).tolist())
 
 
 def _matroid_from_circuits(n: int, r: int, circuits: tuple[int, ...]) -> Matroid:
@@ -332,21 +311,14 @@ def _matroid_from_circuits(n: int, r: int, circuits: tuple[int, ...]) -> Matroid
 
 def lift_matroid(g: GGraph, cls: LinearClass) -> Matroid:
     """Lift matroid of the biased graph (g, cls)."""
-    validate_ggraph(g)
-    if g.n > MAX_GROUND:
-        raise TooLarge(f"ground size {g.n} above {MAX_GROUND}")
     validate_linear_class(g, cls)
-    all_cycles = cycles_of(g)
-    balanced_graph = len(set(cls.members)) == len(all_cycles)
+    balanced_graph = len(set(cls.members)) == len(_cycle_structure(g)[0])
     r = g.vertex_count - (1 if balanced_graph else 0)
     return _matroid_from_circuits(g.n, r, lift_circuits(g, cls))
 
 
 def cycle_matroid(g: GGraph) -> Matroid:
     """Graphic matroid of the shape: every cycle is a circuit."""
-    validate_ggraph(g)
-    if g.n > MAX_GROUND:
-        raise TooLarge(f"ground size {g.n} above {MAX_GROUND}")
     return _matroid_from_circuits(g.n, g.vertex_count - 1, cycles_of(g))
 
 
@@ -682,9 +654,10 @@ def categorize(m: Matroid, k: int) -> Category | None:
     Classification is generate-and-test against the catalog, so a result
     of None is a certificate that m lies outside the class for this bound.
     Catalogs are cached per (size, bound); the very largest combination
-    (14 elements with bound 6) takes about 24 seconds to build on first use
-    on a 2-vCPU host, about half of it assembling lifts; its dedupe makes 3,709
-    isomorphism tests.
+    (14 elements with bound 6) takes about 20 seconds to build on first use
+    on a 2-vCPU host: about a third assembling lifts, a third computing the
+    element profiles of the bucket keys, the rest trun orbits and the 3,709
+    isomorphism tests of its dedupe.
     """
     if k < 0:
         raise OutOfRange(f"negative bound {k}")

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bitset import _subset_sizes, bits, elements_of, mask_from, subset_masks
+from .bitset import _subset_sizes, elements_of, mask_from, subset_masks
 
 MAX_GROUND = 24
 
@@ -364,11 +364,13 @@ class Matroid:
     def is_isomorphic(self, other: "Matroid") -> bool:
         """Permutation isomorphism via pruned backtracking.
 
-        Pruning layers: (n, r, basis count), basis-degree multisets,
-        per-element pair-degree profiles, then a backtracking search that
-        keeps partial maps pair-degree-consistent and finally checks that
-        the bases map onto the bases.  Tests validate the pruning against
-        an unpruned full-permutation scan on small ground sets.
+        Pruning layers: (n, r, basis count), then the multiset of
+        per-element profiles (basis degree and sorted pair degrees, so the
+        basis-degree multiset is covered too), then a backtracking search
+        that keeps partial maps pair-degree-consistent and finally checks
+        that relabelling by the map gives the other's bases.  Tests validate
+        the pruning against an unpruned full-permutation scan on small
+        ground sets.
         """
         if (self.n, self.r, len(self.bases)) != (
             other.n,
@@ -378,8 +380,6 @@ class Matroid:
             return False
         if self.bases == other.bases:
             return True
-        if sorted(self.basis_degrees()) != sorted(other.basis_degrees()):
-            return False
         n = self.n
         prof_m = self._profiles()
         prof_n = other._profiles()
@@ -391,23 +391,13 @@ class Matroid:
             [j for j in range(n) if prof_n[j] == prof_m[i]] for i in range(n)
         ]
         order = sorted(range(n), key=lambda i: (len(cand[i]), i))
-        target = set(other.bases)
         mapping = [-1] * n
         used = [False] * n
         placed: list[int] = []
 
-        def accept() -> bool:
-            for b in self.bases:
-                img = 0
-                for e in bits(b):
-                    img |= 1 << mapping[e]
-                if img not in target:
-                    return False
-            return True
-
         def extend(pos: int) -> bool:
             if pos == n:
-                return accept()
+                return relabel(self, mapping) == other
             i = order[pos]
             row_m = pd_m[i]
             for j in cand[i]:
@@ -536,16 +526,18 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
 
 
 def relabel(m: Matroid, perm: Sequence[int]) -> Matroid:
-    """Apply the bijection e -> perm[e] to the ground set."""
+    """Apply the bijection e -> perm[e] to the ground set.
+
+    The basis array is mapped whole, one vectorised pass per element; the
+    passes keep memory at one array the size of the basis list.
+    """
     if sorted(perm) != list(range(m.n)):
         raise OutOfRange("relabelling is not a permutation of the ground set")
-    out = []
-    for b in m.bases:
-        img = 0
-        for e in bits(b):
-            img |= 1 << perm[e]
-        out.append(img)
-    return Matroid(m.n, m.r, tuple(sorted(out)))
+    arr = np.array(m.bases, dtype=np.int64)
+    img = np.zeros_like(arr)
+    for e, f in enumerate(perm):
+        img |= (arr >> e & 1) << f
+    return Matroid(m.n, m.r, tuple(np.sort(img).tolist()))
 
 
 def is_excluded_minor(m: Matroid, member: Callable[[Matroid], bool]) -> bool:

@@ -1,5 +1,6 @@
 """Biased-graph lifts, spikes, categories and the excluded-minor generator."""
 import json
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -28,8 +29,11 @@ from fractalcensus.biasedlift import (
     _catalog_c,
     _catalog_d,
     _catalog_f,
+    _cycle_shapes,
+    _cycle_structure,
     _family_from_cells,
     _ham_mask,
+    _invariant_key,
     _pair_mask,
     _trun_orbits,
     _trun_perm_maps,
@@ -68,6 +72,7 @@ from fractalcensus.biasedlift import (
     strata_csv,
     strata_rows,
     strata_total,
+    validate_ggraph,
     validate_linear_class,
     verify_sk_excluded_minor,
 )
@@ -133,8 +138,10 @@ def test_cycles_of_counts():
 def test_linear_class_theta_condition():
     g = ggraph(CYCLE, 3, 0, 0)
     # picks at distance one share a theta
-    with pytest.raises(InvalidLinearClass):
+    with pytest.raises(InvalidLinearClass, match="exactly two balanced"):
         validate_linear_class(g, ham_class(g, [0, 1]))
+    with pytest.raises(InvalidLinearClass, match="0x3 is not a cycle"):
+        validate_linear_class(ggraph(CYCLE, 0, 3, 0), LinearClass((0b011,)))
     validate_linear_class(g, ham_class(g, [0, 3]))
     # a balanced pair forces flip-closure of the picks
     with pytest.raises(InvalidLinearClass):
@@ -190,6 +197,225 @@ def test_cycle_matroid_shapes():
     assert cycle_matroid(ggraph(TWO, 0, 3, 0)) == uniform(1, 3)
     m = cycle_matroid(ggraph(CYCLE, 0, 4, 0))
     assert m == uniform(3, 4)
+
+
+# -- cycle table against the per-shape loops --------------------------------------
+#
+# The four functions below are the oracle for _cycle_structure and its
+# readers: the cycle set, the linear-class check (with a pick-based path for
+# the cycle kind) and the three circuit clauses, each written out per graph
+# kind without a shared table.
+
+
+def _oracle_pick_of_ham(g: GGraph, mask: int) -> int | None:
+    """Inverse of :func:`_ham_mask`, or None when mask is not a Hamiltonian."""
+    if mask & g.loops_mask() or (mask & g.thins_mask()) != g.thins_mask():
+        return None
+    pick = 0
+    for i in range(g.t):
+        sub = mask >> (2 * i) & 0b11
+        if sub == 0b10:
+            pick |= 1 << i
+        elif sub != 0b01:
+            return None
+    return pick
+
+
+def _oracle_cycles_of(g: GGraph) -> tuple[int, ...]:
+    """Edge masks of all cycles, ascending."""
+    validate_ggraph(g)
+    out = [1 << e for e in range(g.joining, g.n)]
+    if g.kind == TWO:
+        out += [(1 << x) | (1 << y) for x, y in combinations(range(g.joining), 2)]
+    elif g.kind == CYCLE:
+        out += [_pair_mask(i) for i in range(g.t)]
+        out += [_ham_mask(g, pick) for pick in range(1 << g.t)]
+    return tuple(sorted(out))
+
+
+def _oracle_validate_linear_class(g: GGraph, cls: LinearClass) -> LinearClass:
+    validate_ggraph(g)
+    if g.kind == CYCLE:
+        bal_pairs = set()
+        ham_picks = set()
+        for m in cls.members:
+            if m.bit_count() == 1 and m & g.loops_mask():
+                continue
+            if m.bit_count() == 2 and any(m == _pair_mask(i) for i in range(g.t)):
+                bal_pairs.add((m.bit_length() - 1) // 2)
+                continue
+            pick = _oracle_pick_of_ham(g, m)
+            if pick is None:
+                raise InvalidLinearClass(f"member {m:#x} is not a cycle")
+            ham_picks.add(pick)
+        # theta = Hamiltonian plus the other edge of one pair; its cycles are
+        # the two picks at distance one and the pair itself
+        for h1, h2 in combinations(sorted(ham_picks), 2):
+            d = h1 ^ h2
+            if d.bit_count() == 1 and (d.bit_length() - 1) not in bal_pairs:
+                raise InvalidLinearClass(
+                    f"picks {h1:#x} and {h2:#x} differ in a single pair"
+                )
+        for i in bal_pairs:
+            for h in ham_picks:
+                if h ^ (1 << i) not in ham_picks:
+                    raise InvalidLinearClass(
+                        f"balanced pair {i} needs picks closed under flipping it"
+                    )
+        return cls
+    allowed = set(_oracle_cycles_of(g))
+    for m in cls.members:
+        if m not in allowed:
+            raise InvalidLinearClass(f"member {m:#x} is not a cycle")
+    if g.kind == TWO:
+        bal = set(cls.members)
+        for x, y, z in combinations(range(g.joining), 3):
+            trio = (1 << x | 1 << y, 1 << x | 1 << z, 1 << y | 1 << z)
+            if sum(c in bal for c in trio) == 2:
+                raise InvalidLinearClass("theta with exactly two balanced cycles")
+    return cls
+
+
+def _oracle_lift_circuits(g: GGraph, cls: LinearClass) -> tuple[int, ...]:
+    bal = set(cls.members)
+    out = set(bal)
+    loops = [1 << e for e in range(g.joining, g.n)]
+    unb_loops = [l for l in loops if l not in bal]
+    for l1, l2 in combinations(unb_loops, 2):
+        out.add(l1 | l2)
+    if g.kind == TWO:
+        subs = [(1 << x) | (1 << y) for x, y in combinations(range(g.joining), 2)]
+        unb_subs = [m for m in subs if m not in bal]
+        for x, y, z in combinations(range(g.joining), 3):
+            trio = (1 << x | 1 << y, 1 << x | 1 << z, 1 << y | 1 << z)
+            if not any(c in bal for c in trio):
+                out.add(1 << x | 1 << y | 1 << z)
+        for l in unb_loops:
+            for m in unb_subs:
+                out.add(l | m)
+    elif g.kind == CYCLE:
+        pair2 = [_pair_mask(i) for i in range(g.t)]
+        hams = [_ham_mask(g, pick) for pick in range(1 << g.t)]
+        unb_pairs = [m for m in pair2 if m not in bal]
+        unb_hams = [h for h in hams if h not in bal]
+        for i in range(g.t):
+            for pick in range(1 << g.t):
+                if pick >> i & 1:
+                    continue
+                trio = (pair2[i], hams[pick], hams[pick | 1 << i])
+                if not any(c in bal for c in trio):
+                    out.add(trio[1] | trio[2])
+        # unbalanced cycle pairs: any two pair-cycles share at most a rim
+        # vertex, loops share at most the host; Hamiltonians meet everything
+        # else in two or more vertices except loops
+        for m1, m2 in combinations(unb_pairs, 2):
+            out.add(m1 | m2)
+        for l in unb_loops:
+            for m in unb_pairs:
+                out.add(l | m)
+            for h in unb_hams:
+                out.add(l | h)
+    return tuple(sorted(out))
+
+
+def _all_shapes(max_n: int):
+    """Every valid graph shape on at most max_n edges."""
+    for n in range(max_n + 1):
+        yield GGraph(SINGLE, 0, 0, n)
+        for t in range(3):
+            for s in range(5):
+                if 1 <= 2 * t + s <= min(4, n):
+                    yield GGraph(TWO, t, s, n - 2 * t - s)
+        for t, s, p in _cycle_shapes(n):
+            yield GGraph(CYCLE, t, s, p)
+
+
+def _valid_class(g: GGraph, rng: random.Random) -> set[int]:
+    """A linear class by construction: any loops, plus for two vertices the
+    2-cycles inside blocks of an edge partition, and for the cycle kind some
+    balanced pairs with picks that are closed under flipping them and at
+    distance two or more outside them."""
+    out = {1 << e for e in range(g.joining, g.n) if rng.random() < 0.4}
+    if g.kind == TWO:
+        block = [rng.randrange(3) for _ in range(g.joining)]
+        out |= {
+            1 << x | 1 << y
+            for x, y in combinations(range(g.joining), 2)
+            if block[x] == block[y]
+        }
+    elif g.kind == CYCLE:
+        free = sum(1 << i for i in range(g.t) if rng.random() < 0.25)
+        out |= {_pair_mask(i) for i in range(g.t) if free >> i & 1}
+        picks: list[int] = []
+        for _ in range(rng.randrange(4)):
+            p = rng.randrange(1 << g.t) & ~free
+            if all(((p ^ q) & ~free).bit_count() >= 2 for q in picks):
+                picks.append(p)
+        for p in picks:
+            for sub in range(1 << g.t):
+                if sub & ~free == 0:
+                    out.add(_ham_mask(g, p | sub))
+    return out
+
+
+def _drawn_classes(g: GGraph, rng: random.Random, count: int):
+    """Linear classes by construction, perturbed ones and random subsets of
+    cycles, some with a member that is not a cycle."""
+    cycles = list(_oracle_cycles_of(g))
+    full = (1 << g.n) - 1
+    for i in range(count):
+        if i % 3 == 0 or not cycles:
+            members = _valid_class(g, rng)
+        elif i % 3 == 1:
+            members = _valid_class(g, rng) ^ {rng.choice(cycles)}
+        else:
+            q = rng.random()
+            members = {c for c in cycles if rng.random() < q}
+        if rng.random() < 0.15:
+            members.add(rng.randint(0, full))
+        yield linear_class(members)
+
+
+def _verdict(check, g: GGraph, cls: LinearClass) -> bool:
+    try:
+        check(g, cls)
+    except InvalidLinearClass:
+        return False
+    return True
+
+
+def test_cycle_table_matches_shape_loops():
+    shapes = list(_all_shapes(10))
+    assert len(shapes) == 183
+    rng = random.Random(20260)
+    tally = {True: 0, False: 0}
+    for g in shapes:
+        assert cycles_of(g) == _oracle_cycles_of(g)
+        for cls in _drawn_classes(g, rng, 100):
+            ok = _verdict(_oracle_validate_linear_class, g, cls)
+            assert _verdict(validate_linear_class, g, cls) == ok, (g, cls)
+            tally[ok] += 1
+            if ok:
+                assert lift_circuits(g, cls) == _oracle_lift_circuits(g, cls), (g, cls)
+    # both verdicts are well represented
+    assert min(tally.values()) > 5000
+
+
+def test_cycle_table_arrays():
+    g = ggraph(CYCLE, 3, 1, 2)
+    cycles, thetas, near = _cycle_structure(g)
+    assert not (cycles.flags.writeable or thetas.flags.writeable or near.flags.writeable)
+    assert (np.diff(cycles) > 0).all()
+    # each theta: one pair with the two Hamiltonians through its sides
+    assert thetas.shape == (3 * 4, 3)
+    # two loops, three pairs, eight Hamiltonians: 1 + 3 + 2 * (3 + 8)
+    assert near.shape == (26, 2)
+    # a theta's union is its Hamiltonian plus the other side of its pair
+    for tri in thetas:
+        union = int(np.bitwise_or.reduce(cycles[tri]))
+        assert union.bit_count() == g.t + g.s + 1
+    with pytest.raises(TooLarge):
+        _cycle_structure(GGraph(CYCLE, 0, 25, 0))
 
 
 # -- spikes ---------------------------------------------------------------------
@@ -318,6 +544,17 @@ def test_glance_cells_past_a_byte():
     key = glance_signature((5, 300, 0, picks))
     assert key == GlanceKey(0, 300, _glance_per_last(5, 300, picks))
     assert max(key.sig) >= 300
+
+
+def test_equal_profile_spikes_are_told_apart():
+    # two classes of one catalog bucket at n = 10, k = 5: rank, basis count
+    # and element profiles agree, so only is_isomorphic's final basis check
+    # separates them; their glance keys differ
+    a, b = spike_spec(5, [0, 3, 12, 20, 24]), spike_spec(5, [0, 3, 5, 6, 28])
+    ma, mb = spike_from_spec(a), spike_from_spec(b)
+    assert _invariant_key(ma) == _invariant_key(mb)
+    assert not ma.is_isomorphic(mb) and not mb.is_isomorphic(ma)
+    assert not glance_isomorphic(a, b)
 
 
 def test_glance_matches_kernel_on_witnesses():

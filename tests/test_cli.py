@@ -1,8 +1,13 @@
 """Command-line dispatch, exit codes, and output formats."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fractalcensus
 from fractalcensus.cli import main
 from fractalcensus.kernel import matroid_from_json, matroid_to_json, uniform
 from fractalcensus.biasedlift import spike
@@ -266,3 +271,29 @@ def test_sk_exminors_bound_cap(t, k, capsys):
 )
 def test_exminor_sweep_bound_cap(argv, capsys):
     assert _exit_one(argv, capsys) == "BoundTooLarge"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sk", "census", "--n", "8", "--k", "3"],
+        ["gamma", "pk", "--k", "2", "--n", "6..7"],
+        ["gamma", "sk", "--k", "2", "--t", "6..7"],
+    ],
+)
+def test_sweeps_leave_numpy_ma_unimported(argv):
+    # importing numpy.ma costs a CLI process 16-19 ms; np.unique and np.isin
+    # pull it in, so the sweeps must not call them
+    src = str(Path(fractalcensus.__file__).resolve().parents[1])
+    env = dict(os.environ, FRACTAL_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from fractalcensus.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+    )
+    assert done.stderr.split() == ["0", "False"]

@@ -134,6 +134,17 @@ def _perm_scan(m1: Matroid, m2: Matroid) -> bool:
     return False
 
 
+def _loop_relabel(m: Matroid, perm) -> Matroid:
+    # image of every basis bit by bit: the oracle for relabel's array form
+    out = []
+    for b in m.bases:
+        img = 0
+        for e in bits(b):
+            img |= 1 << perm[e]
+        out.append(img)
+    return Matroid(m.n, m.r, tuple(sorted(out)))
+
+
 def _basis_list_minor(m: Matroid, delete: int, contract: int) -> Matroid:
     # minor from the basis list: greedy basis of the contracted part, bases
     # through it, rank-drop regrowth, then order-preserving compaction
@@ -485,6 +496,19 @@ def test_isomorphism_scan_agrees_with_oracle():
     assert m1.is_isomorphic(m2) == _perm_scan(m1, m2)
 
 
+def test_relabel_matches_bit_loop_exhaustively():
+    count = 0
+    for m in _small_matroids():
+        count += 1
+        for perm in itertools.permutations(range(m.n)):
+            got = relabel(m, list(perm))
+            assert (got.n, got.r, got.bases) == (m.n, m.r, _loop_relabel(m, perm).bases)
+            assert all(type(b) is int for b in got.bases)
+    assert count == 498
+    with pytest.raises(OutOfRange):
+        relabel(uniform(1, 3), [0, 0, 1])
+
+
 # ------------------------------------------------------------ predicates
 
 
@@ -629,6 +653,12 @@ def test_iso_matches_unpruned_scan(m: Matroid, perm: list[int]):
     other = relabel(m, perm[: m.n]) if sorted(perm[: m.n]) == list(range(m.n)) else m
     assert m.is_isomorphic(other)
     assert _perm_scan(m, other)
+
+
+@given(matroids(), st.data())
+def test_relabel_matches_bit_loop(m: Matroid, data):
+    perm = data.draw(st.permutations(list(range(m.n))))
+    assert relabel(m, perm) == _loop_relabel(m, perm)
 
 
 @settings(max_examples=25)
