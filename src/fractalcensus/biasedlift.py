@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bitset import _subset_sizes
+from .bitset import _subset_sizes, subset_index
 from .kernel import (
     MAX_GROUND,
     MalformedDocument,
@@ -305,8 +305,8 @@ def _matroid_from_circuits(n: int, r: int, circuits: tuple[int, ...]) -> Matroid
         raise MatroidError(
             f"circuit clauses give rank {top} but the vertex count says {r}"
         )
-    bases = np.flatnonzero(indep & (counts == r))
-    return Matroid(n, r, tuple(bases.tolist()))
+    cand = subset_index(n, r)
+    return Matroid(n, r, cand[indep[cand]])
 
 
 def lift_matroid(g: GGraph, cls: LinearClass) -> Matroid:
@@ -562,7 +562,7 @@ _STRATA_N_CAP = 511
 def _invariant_key(m: Matroid) -> tuple:
     # each profile starts with the element's basis degree, so this covers the
     # basis-degree multiset too
-    return (m.r, len(m.bases), tuple(sorted(m._profiles())))
+    return (m.r, len(m.basis_array), tuple(sorted(m._profiles())))
 
 
 def _cycle_shapes(n: int) -> Iterator[tuple[int, int, int]]:

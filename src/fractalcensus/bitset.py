@@ -41,6 +41,18 @@ def _subset_sizes(n: int) -> "np.ndarray":
     return size
 
 
+@lru_cache(maxsize=None)
+def subset_index(n: int, size: int) -> "np.ndarray":
+    """All size-subsets of {0..n-1} as masks, ascending, as a read-only array.
+
+    Empty when size is outside [0, n].  Subset queries gather over it
+    instead of masking all 2^n subsets by size on every call.
+    """
+    idx = np.flatnonzero(_subset_sizes(n) == size)
+    idx.flags.writeable = False
+    return idx
+
+
 def subset_masks(n: int, size: int) -> list[int]:
     """All size-subsets of {0..n-1} as masks, sorted ascending by value."""
-    return np.flatnonzero(_subset_sizes(n) == size).tolist()
+    return subset_index(n, size).tolist()

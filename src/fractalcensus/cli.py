@@ -3,8 +3,8 @@
 Subcommands mirror the library surface: matroid file utilities, the sparse
 paving census and excluded-minor search, spike construction and
 verification, the spike-minor censuses, boundary-ratio tables, and slope
-fits.  Validation failures exit 1 with a JSON error object on stderr;
-usage errors exit 2.
+fits.  Validation failures, and a FRACTAL_THREADS that is not a positive
+integer, exit 1 with a JSON error object on stderr; usage errors exit 2.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .biasedlift import (
 )
 from .gamma import gamma_csv, gamma_pk_table, gamma_sk_table, slope_fit
 from .kernel import MatroidError, OutOfRange, matroid_from_json, matroid_to_json
+from .parallel import BadThreadCount
 from .sparsepaving import (
     census_csv,
     census_pk,
@@ -115,7 +116,7 @@ def _print_json(doc: dict) -> None:
 
 def _run_matroid_validate(args) -> int:
     m = matroid_from_json(_read(args.file))
-    _print_json({"ok": True, "n": m.n, "rank": m.r, "bases": len(m.bases)})
+    _print_json({"ok": True, "n": m.n, "rank": m.r, "bases": len(m.basis_array)})
     return 0
 
 
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except MatroidError as exc:
+    except (MatroidError, BadThreadCount) as exc:
         doc = {"error": type(exc).__name__, "detail": str(exc)}
         sys.stderr.write(json.dumps(doc, separators=(", ", ": ")) + "\n")
         return 1

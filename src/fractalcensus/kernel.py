@@ -1,11 +1,13 @@
-"""Ground-truth matroid oracle over explicit basis lists.
+"""Ground-truth matroid oracle over one stored basis array.
 
-A matroid lives on ground set {0..n-1} with every basis stored as a bitmask.
-This module is deliberately definition-driven: ranks come from scanning
-bases, circuits from minimal dependent sets, hyperplanes from closed sets of
-corank one.  Higher layers construct matroids through combinatorial formulas
-and use these oracles as the independent check, so nothing here may assume
-any structure beyond the basis-exchange axiom.
+A matroid lives on ground set {0..n-1} with every basis a bitmask, and
+all of them held in one sorted read-only uint32 array that every consumer
+reads whole; ``Matroid.bases`` is its tuple view.  This module is
+deliberately definition-driven: ranks come from scanning bases, circuits
+from minimal dependent sets, hyperplanes from closed sets of corank one.
+Higher layers construct matroids through combinatorial formulas and use
+these oracles as the independent check, so nothing here may assume any
+structure beyond the basis-exchange axiom.
 
 Every subset oracle reads one cached table: the int8 rank of all 2^n
 subsets, built from the bases by two sweeps.  Independence is rank equal to
@@ -31,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bitset import _subset_sizes, elements_of, mask_from, subset_masks
+from .bitset import _subset_sizes, elements_of, mask_from, subset_index
 
 MAX_GROUND = 24
 
@@ -113,17 +115,31 @@ class RankedFlat:
 class Matroid:
     """Immutable matroid given by ground-set size, rank and basis masks.
 
-    Direct construction trusts its input; use :func:`make_matroid` for
-    anything that has not already been proven to satisfy basis exchange.
+    The basis masks are copied into one read-only uint32 array,
+    :attr:`basis_array`, ascending; :attr:`bases` is its tuple of Python
+    ints.  Direct construction trusts its input (a sequence of basis masks,
+    ascending and distinct); use :func:`make_matroid` for anything that has
+    not already been proven to satisfy basis exchange.
     """
 
-    __slots__ = ("n", "r", "bases", "_cache")
+    __slots__ = ("n", "r", "_bases", "_cache")
 
-    def __init__(self, n: int, r: int, bases: tuple[int, ...]):
+    def __init__(self, n: int, r: int, bases: Sequence[int]):
         self.n = n
         self.r = r
-        self.bases = bases
+        self._bases = np.array(bases, dtype=np.uint32)
+        self._bases.flags.writeable = False
         self._cache: dict = {}
+
+    @property
+    def basis_array(self) -> "np.ndarray":
+        """The bases as one sorted read-only uint32 array."""
+        return self._bases
+
+    @property
+    def bases(self) -> tuple[int, ...]:
+        """The bases as a tuple of Python ints, ascending."""
+        return tuple(self._bases.tolist())
 
     # -- identity ---------------------------------------------------------
 
@@ -132,14 +148,14 @@ class Matroid:
             isinstance(other, Matroid)
             and self.n == other.n
             and self.r == other.r
-            and self.bases == other.bases
+            and np.array_equal(self._bases, other._bases)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.r, self.bases))
+        return hash((self.n, self.r, self._bases.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Matroid(n={self.n}, r={self.r}, bases={len(self.bases)})"
+        return f"Matroid(n={self.n}, r={self.r}, bases={len(self._bases)})"
 
     @property
     def full_mask(self) -> int:
@@ -165,7 +181,7 @@ class Matroid:
         got = self._cache.get("tab")
         if got is None:
             got = np.full(1 << self.n, -1, dtype=np.int8)
-            got[list(self.bases)] = self.r
+            got[self._bases] = self.r
             for e in range(self.n):
                 rv = got.reshape(-1, 2, 1 << e)
                 np.maximum(rv[:, 0, :], rv[:, 1, :] - 1, out=rv[:, 0, :])
@@ -232,7 +248,8 @@ class Matroid:
         """
         rank = self._rank_table()
         r = self.r
-        cand = np.flatnonzero((_subset_sizes(self.n) == r) & (rank == r - 1))
+        cand = subset_index(self.n, r)
+        cand = cand[rank[cand] == r - 1]
         elem = 1 << np.arange(self.n)
         want = np.where(cand[:, None] & elem, r - 1, r)
         hits = cand[(rank[cand[:, None] ^ elem] == want).all(axis=1)]
@@ -259,8 +276,9 @@ class Matroid:
         The minor's rank function is r(X | C) - r(C) (Oxley, *Matroid
         Theory*, 3.1), so its rank table is a slice of this one: bits of D
         fixed at 0, bits of C at 1.  Bases are the full-rank r'-sets of the
-        slice, ascending.  Relabelling is order-preserving on the surviving
-        elements, and the minor keeps the sliced table cached.
+        slice, gathered over the r'-subset index.  Relabelling is
+        order-preserving on the surviving elements, and the minor keeps the
+        sliced table cached.
         """
         full = self.full_mask
         if delete < 0 or delete > full or contract < 0 or contract > full:
@@ -278,10 +296,9 @@ class Matroid:
         )
         sub = np.reshape(rank.reshape((2,) * self.n)[pick], -1) - rank[contract]
         n2 = self.n - (delete | contract).bit_count()
-        size = _subset_sizes(n2)
         r2 = int(sub[-1])
-        bases = np.flatnonzero((sub == r2) & (size == r2))
-        got = Matroid(n2, r2, tuple(bases.tolist()))
+        cand = subset_index(n2, r2)
+        got = Matroid(n2, r2, cand[sub[cand] == r2])
         got._cache["tab"] = sub
         return got
 
@@ -292,10 +309,8 @@ class Matroid:
         return self.minor(0, 1 << e)
 
     def dual(self) -> "Matroid":
-        full = self.full_mask
-        return Matroid(
-            self.n, self.n - self.r, tuple(sorted(full ^ b for b in self.bases))
-        )
+        # x -> full ^ x reverses the order, so the reversed image is ascending
+        return Matroid(self.n, self.n - self.r, (self.full_mask ^ self._bases)[::-1])
 
     def components(self) -> tuple[int, ...]:
         """Partition of the ground set into connected components (as masks).
@@ -326,38 +341,45 @@ class Matroid:
 
     # -- isomorphism --------------------------------------------------------
 
-    def _degrees(self) -> tuple[tuple[int, ...], list[list[int]]]:
+    def _gram(self) -> "np.ndarray":
         """Basis degrees and pair degrees from one incidence product.
 
         With inc the (bases x n) 0/1 incidence array, entry (e, f) of
         inc^T inc counts the bases holding both e and f: the diagonal is
-        each element's basis degree, the off-diagonal its pair degrees.
+        each element's basis degree, the off-diagonal its pair degrees.  The
+        product runs in float64, which is exact here: every count is at most
+        C(24, 12) < 2^53.  Cached read-only as int64; a catalog keeps
+        thousands of these, so no Python-int copy of it is cached.
         """
-        got = self._cache.get("deg")
+        got = self._cache.get("gram")
         if got is None:
-            arr = np.array(self.bases, dtype=np.uint32)
-            inc = arr[:, None] >> np.arange(self.n, dtype=np.uint32) & 1
-            gram = inc.T @ inc
-            deg = tuple(np.diagonal(gram).tolist())
-            np.fill_diagonal(gram, 0)
-            got = deg, gram.tolist()
-            self._cache["deg"] = got
+            inc = self._bases[:, None] >> np.arange(self.n, dtype=np.uint32) & 1
+            inc = inc.astype(np.float64)
+            got = (inc.T @ inc).astype(np.int64)
+            got.flags.writeable = False
+            self._cache["gram"] = got
         return got
 
-    def basis_degrees(self) -> tuple[int, ...]:
-        return self._degrees()[0]
+    def _degrees(self) -> tuple[tuple[int, ...], list[list[int]]]:
+        """Basis degrees, and pair degrees with a zero diagonal, as ints."""
+        gram = self._gram()
+        pair = np.where(np.eye(self.n, dtype=bool), 0, gram)
+        return tuple(np.diagonal(gram).tolist()), pair.tolist()
 
-    def _pair_degrees(self) -> list[list[int]]:
-        return self._degrees()[1]
+    def basis_degrees(self) -> tuple[int, ...]:
+        return tuple(np.diagonal(self._gram()).tolist())
 
     def _profiles(self) -> list[tuple]:
+        """Per element: basis degree and ascending pair degrees to the others."""
         got = self._cache.get("profiles")
         if got is None:
-            deg, pd = self._degrees()
-            got = [
-                (deg[e], tuple(sorted(pd[e][f] for f in range(self.n) if f != e)))
-                for e in range(self.n)
-            ]
+            gram = self._gram()
+            # the -1 diagonal sorts first in every row, so dropping column 0
+            # leaves each element's pair degrees to the others, ascending
+            rows = np.where(np.eye(self.n, dtype=bool), -1, gram)
+            rows.sort(axis=1)
+            deg = np.diagonal(gram).tolist()
+            got = list(zip(deg, map(tuple, rows[:, 1:].tolist())))
             self._cache["profiles"] = got
         return got
 
@@ -372,21 +394,21 @@ class Matroid:
         the pruning against an unpruned full-permutation scan on small
         ground sets.
         """
-        if (self.n, self.r, len(self.bases)) != (
+        if (self.n, self.r, len(self._bases)) != (
             other.n,
             other.r,
-            len(other.bases),
+            len(other._bases),
         ):
             return False
-        if self.bases == other.bases:
+        if np.array_equal(self._bases, other._bases):
             return True
         n = self.n
         prof_m = self._profiles()
         prof_n = other._profiles()
         if sorted(prof_m) != sorted(prof_n):
             return False
-        pd_m = self._pair_degrees()
-        pd_n = other._pair_degrees()
+        pd_m = self._degrees()[1]
+        pd_n = other._degrees()[1]
         cand = [
             [j for j in range(n) if prof_n[j] == prof_m[i]] for i in range(n)
         ]
@@ -432,10 +454,10 @@ class Matroid:
         *Matroid Theory*, 2.1); at r = 0 or r = n both hold vacuously.
         """
         rank = self._rank_table()
-        size = _subset_sizes(self.n)
+        r = self.r
         return bool(
-            (rank[size == self.r - 1] == self.r - 1).all()
-            and (rank[size == self.r + 1] == self.r).all()
+            (rank[subset_index(self.n, r - 1)] == r - 1).all()
+            and (rank[subset_index(self.n, r + 1)] == r).all()
         )
 
 
@@ -453,11 +475,11 @@ def _exchange_witness(m: Matroid) -> tuple[int, int, int] | None:
     lookups for Y and the rank test.
     """
     rank = m._rank_table()
-    arr = np.array(m.bases, dtype=np.int32)
-    elem = np.left_shift(1, np.arange(m.n), dtype=np.int32)
+    arr = m.basis_array
+    elem = np.uint32(1) << np.arange(m.n, dtype=np.uint32)
     inb = (arr[:, None] & elem) != 0  # (basis, x): x in the basis
     drop = arr[:, None] & ~elem  # B1 - x
-    avoid = np.where(inb, elem, np.int32(0))  # grows to Y + x, one y at a time
+    avoid = np.where(inb, elem, np.uint32(0))  # grows to Y + x, one y at a time
     for y in range(m.n):
         # B1 - x + y is an r-set only for x in B1 and y outside it
         swap = (rank[drop | elem[y]] == m.r) & inb & ~inb[:, y : y + 1]
@@ -500,7 +522,7 @@ def make_matroid(n: int, bases: Iterable[int]) -> Matroid:
                 f"bases {sorted(elements_of(cleaned[0]))} and "
                 f"{sorted(elements_of(b))} have different sizes"
             )
-    m = Matroid(n, r, tuple(cleaned))
+    m = Matroid(n, r, cleaned)
     witness = _exchange_witness(m)
     if witness is not None:
         raise ExchangeViolation(*witness)
@@ -512,7 +534,7 @@ def uniform(r: int, n: int) -> Matroid:
         raise SizeOverflow(f"ground set size {n} outside [0, {MAX_GROUND}]")
     if r < 0 or r > n:
         raise RankOutOfRange(f"rank {r} outside [0, {n}]")
-    return Matroid(n, r, tuple(subset_masks(n, r)))
+    return Matroid(n, r, subset_index(n, r))
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
@@ -520,8 +542,8 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
         raise SizeOverflow(
             f"direct sum would have {m1.n + m2.n} > {MAX_GROUND} elements"
         )
-    shifted = [b2 << m1.n for b2 in m2.bases]
-    bases = tuple(sorted(b1 | s for b1 in m1.bases for s in shifted))
+    # m2's bits are the high ones, so the row-major sums come out ascending
+    bases = (m2.basis_array[:, None] << m1.n | m1.basis_array).ravel()
     return Matroid(m1.n + m2.n, m1.r + m2.r, bases)
 
 
@@ -533,11 +555,11 @@ def relabel(m: Matroid, perm: Sequence[int]) -> Matroid:
     """
     if sorted(perm) != list(range(m.n)):
         raise OutOfRange("relabelling is not a permutation of the ground set")
-    arr = np.array(m.bases, dtype=np.int64)
+    arr = m.basis_array
     img = np.zeros_like(arr)
     for e, f in enumerate(perm):
         img |= (arr >> e & 1) << f
-    return Matroid(m.n, m.r, tuple(np.sort(img).tolist()))
+    return Matroid(m.n, m.r, np.sort(img))
 
 
 def is_excluded_minor(m: Matroid, member: Callable[[Matroid], bool]) -> bool:

@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bitset import bits, mask_from, subset_masks
+from .bitset import bits, mask_from, subset_index
 from .kernel import (
     MAX_GROUND,
     MalformedDocument,
@@ -165,11 +165,13 @@ def ch_to_matroid(f: CHFamily) -> Matroid:
     validate_chfamily(f)
     if f.n > MAX_GROUND:
         raise SizeOverflow(f"ground size {f.n} above {MAX_GROUND}")
-    dropped = set(f.chs)
-    bases = tuple(b for b in subset_masks(f.n, f.r) if b not in dropped)
-    if not bases:
+    cand = subset_index(f.n, f.r)
+    # every member is an r-subset, so searchsorted finds its exact slot
+    keep = np.ones(len(cand), dtype=bool)
+    keep[np.searchsorted(cand, f.chs)] = False
+    if not keep.any():
         raise NoBasesLeft("family exhausts all r-subsets")
-    return Matroid(f.n, f.r, bases)
+    return Matroid(f.n, f.r, cand[keep])
 
 
 def _drop_element(mask: int, e: int) -> int:

@@ -35,6 +35,7 @@ from fractalcensus.biasedlift import (
     spike_spec,
     verify_sk_excluded_minor,
 )
+from fractalcensus.bitset import subset_masks
 from fractalcensus.gamma import slope_fit
 from fractalcensus.kernel import is_excluded_minor, make_matroid, relabel, uniform
 from fractalcensus.sparsepaving import (
@@ -50,7 +51,6 @@ from fractalcensus.sparsepaving import (
     count_signatures,
     pk_member,
     realize_signature,
-    subset_masks,
 )
 
 

@@ -1,14 +1,19 @@
 """Biased-graph lifts, spikes, categories and the excluded-minor generator."""
 import json
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fractalcensus
 from fractalcensus.biasedlift import (
     CYCLE,
     SINGLE,
@@ -964,6 +969,29 @@ _CENSUS_SK_EXACT = (
 def test_census_sk_exact_grid():
     for n, row in enumerate(_CENSUS_SK_EXACT):
         assert tuple(census_sk_exact(n, k) for k in range(7)) == row
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_category_catalog_corner_fits_in_memory():
+    # the largest catalog, in a fresh process: each representative keeps its
+    # bases as one uint32 array, so the whole build peaks far below the
+    # 733 MB that per-basis Python ints took
+    src = str(Path(fractalcensus.__file__).resolve().parents[1])
+    env = dict(os.environ, FRACTAL_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import resource\n"
+        "from fractalcensus.biasedlift import _category_catalog\n"
+        "classes = sum(map(len, _category_catalog(14, 6).values()))\n"
+        "print(classes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    classes, peak_kib = map(int, done.stdout.split())
+    assert classes == 12020
+    assert peak_kib < 300 * 1024
 
 
 def test_census_sk_exact_gates():

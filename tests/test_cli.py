@@ -1,11 +1,15 @@
 """Command-line dispatch, exit codes, and output formats."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fractalcensus
 from fractalcensus.cli import main
@@ -284,9 +288,6 @@ def test_exminor_sweep_bound_cap(argv, capsys):
 def test_sweeps_leave_numpy_ma_unimported(argv):
     # importing numpy.ma costs a CLI process 16-19 ms; np.unique and np.isin
     # pull it in, so the sweeps must not call them
-    src = str(Path(fractalcensus.__file__).resolve().parents[1])
-    env = dict(os.environ, FRACTAL_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys\n"
         "from fractalcensus.cli import main\n"
@@ -294,6 +295,178 @@ def test_sweeps_leave_numpy_ma_unimported(argv):
         "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        env=_env("1"),
     )
     assert done.stderr.split() == ["0", "False"]
+
+
+def _env(threads: str) -> dict:
+    # a child environment that imports this checkout's package
+    src = str(Path(fractalcensus.__file__).resolve().parents[1])
+    env = dict(os.environ, FRACTAL_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_bad_thread_count_exits_one(threads):
+    argv = ["sp", "exminors", "--n", "6", "--k", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "fractalcensus.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_env(threads),
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert json.loads(done.stderr)["error"] == "BadThreadCount"
+
+
+# ------------------------------------------------------------------ fuzz
+#
+# Every subcommand's argument grammar, with sizes and bounds drawn only
+# where a run finishes well under a second (sp census k <= 4, sp exminors
+# and gamma pk k <= 3 below ten elements, gamma sk k <= 4 up to t = 10).
+# Bounds past a cap are drawn too: they exit 1 before any work.
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    docs = {
+        "u24": matroid_to_json(uniform(2, 4)),
+        "invalid": '{"n": 4, "rank": 2, "bases": [[0, 1], [2, 3]]}',
+        "malformed": '{"n": 4, "rank": 2}',
+    }
+    for name, text in docs.items():
+        (root / f"{name}.json").write_text(text, encoding="utf-8")
+    (root / "binary.json").write_bytes(b"\xff\xfe")
+    build = ["spike", "build", "--t", "4", "--picks", "0000,1100"]
+    assert main([*build, "--out", str(root / "spike.json")]) == 0
+    names = (*docs, "binary", "spike", "missing")
+    return [str(root / f"{name}.json") for name in names], str(root)
+
+
+def _or_malformed(valid, malformed):
+    # one token in ten is malformed, so most runs get past the parser
+    return st.integers(0, 9).flatmap(
+        lambda i: st.sampled_from(malformed) if i == 0 else valid
+    )
+
+
+def _int_arg(lo: int, hi: int, *capped: int):
+    ints = st.integers(lo, hi)
+    if capped:
+        ints |= st.sampled_from(capped)
+    return _or_malformed(ints.map(str), ["x", "", "1.5"])
+
+
+def _range_arg(lo: int, hi: int):
+    pair = st.tuples(st.integers(lo, hi), st.integers(0, 2)).map(
+        lambda p: f"{p[0]}..{min(p[0] + p[1], hi)}"
+    )
+    return _or_malformed(pair, ["3..1", "1-3", "a..b", "5"])
+
+
+def _spike_args(t: int):
+    # picks of about t characters, so some builds are well-formed
+    pick = st.text("012", min_size=max(t - 1, 0), max_size=max(t + 1, 0))
+    picks = st.lists(pick, max_size=3).map(",".join)
+    return picks.map(lambda p: ["--t", str(t), "--picks", p])
+
+
+def _command(words: str, *flags):
+    # flags are (name, values) pairs; a drawn None leaves the flag out
+    def join(values):
+        argv = words.split()
+        for (name, _), value in zip(flags, values):
+            if value is not None:
+                argv += [name, value]
+        return argv
+
+    return st.tuples(*(values for _, values in flags)).map(join)
+
+
+def _grammar(files: list[str], root: str):
+    file = st.sampled_from(files)
+    out = ("--out", st.sampled_from([None, None, f"{root}/out.txt", f"{root}/no/x"]))
+    elems = st.lists(st.integers(-1, 5).map(str), max_size=3).map(",".join)
+    elems = _or_malformed(elems, ["x", "1,,2"])
+    spike_build = st.tuples(
+        _command("spike build", out), st.integers(-1, 6).flatmap(_spike_args)
+    ).map(lambda parts: parts[0] + parts[1])
+    return st.one_of(
+        _command("matroid validate", ("--file", file)),
+        _command("matroid iso", ("--a", file), ("--b", file)),
+        _command(
+            "matroid minor",
+            ("--file", file),
+            ("--delete", elems),
+            ("--contract", elems),
+            out,
+        ),
+        _command("matroid dual", ("--file", file), out),
+        _command("sp census", ("--n", _int_arg(-2, 12)), ("--k", _int_arg(-1, 4)), out),
+        _command(
+            "sp exminors", ("--n", _int_arg(-2, 9)), ("--k", _int_arg(-1, 3, 5)), out
+        ),
+        spike_build,
+        _command(
+            "spike verify",
+            ("--file", file),
+            ("--k", _int_arg(-1, 3)),
+            ("--mode", st.sampled_from(["auto", "full", "structural", "fast"])),
+        ),
+        _command(
+            "sk census",
+            ("--n", _int_arg(-1, 11)),
+            ("--k", _int_arg(-1, 7)),
+            ("--mode", st.sampled_from(["exact", "strata"])),
+            out,
+        ),
+        _command(
+            "sk exminors", ("--t", _int_arg(-1, 12)), ("--k", _int_arg(-1, 8)), out
+        ),
+        _command(
+            "gamma pk", ("--k", _int_arg(-1, 3, 5)), ("--n", _range_arg(-2, 9)), out
+        ),
+        _command(
+            "gamma sk", ("--k", _int_arg(-1, 4, 7)), ("--t", _range_arg(-1, 10)), out
+        ),
+        _command(
+            "slope",
+            ("--source", st.sampled_from(["eqn1", "eqn2"])),
+            ("--k", _int_arg(-2, 4)),
+            ("--range", _range_arg(-2, 16)),
+            ("--window", st.none() | _range_arg(-2, 16)),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_contract_fuzz(fuzz_files, data):
+    argv = data.draw(_grammar(*fuzz_files))
+    threads = data.draw(st.sampled_from(["1", "2", "0", "abc"]))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"FRACTAL_THREADS": threads}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                code = 2
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1 and argv[:2] == ["spike", "verify"] and not err:
+        # a spike that is not an excluded minor: the verdict, on stdout
+        assert json.loads(out)["excluded_minor"] is False
+    elif code == 1:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert set(json.loads(err)) == {"error", "detail"}

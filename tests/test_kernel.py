@@ -145,6 +145,56 @@ def _loop_relabel(m: Matroid, perm) -> Matroid:
     return Matroid(m.n, m.r, tuple(sorted(out)))
 
 
+def _tuple_dual(m: Matroid) -> Matroid:
+    # complements of the basis tuple, re-sorted in Python
+    return Matroid(m.n, m.n - m.r, tuple(sorted(m.full_mask ^ b for b in m.bases)))
+
+
+def _tuple_direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
+    # every pair of bases, m2's shifted above m1's, re-sorted in Python
+    shifted = [b2 << m1.n for b2 in m2.bases]
+    bases = tuple(sorted(b1 | s for b1 in m1.bases for s in shifted))
+    return Matroid(m1.n + m2.n, m1.r + m2.r, bases)
+
+
+def _table_mask_bases(m: Matroid) -> tuple[int, ...]:
+    # full-rank r-sets of the rank table, by a 2^n size mask
+    tab = m._rank_table()
+    size = np.array([x.bit_count() for x in range(1 << m.n)])
+    return tuple(np.flatnonzero((tab == m.r) & (size == m.r)).tolist())
+
+
+def _assert_store(m: Matroid) -> None:
+    # one sorted, distinct, read-only uint32 array; bases is its int tuple
+    arr = m.basis_array
+    assert isinstance(arr, np.ndarray) and arr.dtype == np.uint32 and arr.ndim == 1
+    assert (np.diff(arr.astype(np.int64)) > 0).all()
+    with pytest.raises(ValueError):
+        arr[...] = 0
+    assert m.bases == tuple(arr.tolist())
+    assert all(type(b) is int for b in m.bases)
+    for twin in (Matroid(m.n, m.r, m.bases), Matroid(m.n, m.r, arr)):
+        assert twin == m and hash(twin) == hash(m)
+
+
+def _assert_store_matches_tuple_formulas(m: Matroid, other: Matroid) -> None:
+    _assert_store(m)
+    got = m.dual()
+    _assert_store(got)
+    assert got.bases == _tuple_dual(m).bases
+    for m1, m2 in ((m, other), (other, m)):
+        got = direct_sum(m1, m2)
+        want = _tuple_direct_sum(m1, m2)
+        _assert_store(got)
+        assert (got.n, got.r, got.bases) == (want.n, want.r, want.bases)
+    for e in range(m.n):
+        for got in (m.delete(e), m.contract(e)):
+            _assert_store(got)
+            assert got.bases == _table_mask_bases(got)
+    got = relabel(m, list(reversed(range(m.n))))
+    _assert_store(got)
+
+
 def _basis_list_minor(m: Matroid, delete: int, contract: int) -> Matroid:
     # minor from the basis list: greedy basis of the contracted part, bases
     # through it, rank-drop regrowth, then order-preserving compaction
@@ -289,7 +339,21 @@ def _assert_degrees_match_loops(m: Matroid) -> None:
     deg, pair = _loop_degrees(m)
     assert m.basis_degrees() == deg
     assert all(type(d) is int for d in m.basis_degrees())
-    assert m._pair_degrees() == pair
+    assert m._degrees()[1] == pair
+
+
+def test_basis_store_exhaustively():
+    count = 0
+    for m in _small_matroids():
+        _assert_store_matches_tuple_formulas(m, uniform(1, 2))
+        count += 1
+    assert count == 498
+
+
+def test_store_equality_needs_same_ground_set():
+    # equal basis arrays on different ground sets are different matroids
+    assert Matroid(3, 1, (1,)) != Matroid(2, 1, (1,))
+    assert uniform(2, 4) != uniform(2, 4).bases
 
 
 def test_degrees_match_loops_exhaustively():
@@ -624,6 +688,11 @@ def matroids(draw) -> Matroid:
         e = draw(st.integers(min_value=0, max_value=m.n - 1))
         m = m.delete(e) if draw(st.booleans()) else m.contract(e)
     return m
+
+
+@given(matroids(), matroids())
+def test_basis_store(m1: Matroid, m2: Matroid):
+    _assert_store_matches_tuple_formulas(m1, m2)
 
 
 @given(matroids())
