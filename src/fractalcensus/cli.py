@@ -10,8 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# One OpenBLAS thread unless the user exported a count: the package's only
+# BLAS call (the float64 degree product in kernel) gains nothing from a
+# pool, whose start-up costs every process tens of milliseconds and CPU on
+# a second core. FRACTAL_THREADS is the parallelism, and forked workers
+# inherit this setting. It must precede every import that loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .biasedlift import (
     bottom_solution_count,

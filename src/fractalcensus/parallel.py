@@ -2,13 +2,12 @@
 
 Heavy sweeps split into independent shards whose results merge in shard
 order, so output never depends on worker count. FRACTAL_THREADS picks
-the worker count; unset means machine parallelism.
+the worker count; unset means one per CPU this process may use.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 S = TypeVar("S")
@@ -22,6 +21,10 @@ class BadThreadCount(ValueError):
 def thread_count() -> int:
     raw = os.environ.get("FRACTAL_THREADS")
     if raw is None:
+        # the CPUs this process may run on: taskset or a cpuset can leave
+        # fewer than the host has
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         value = int(raw)
@@ -41,5 +44,8 @@ def run_sharded(func: Callable[[S], R], shards: Sequence[S]) -> list[R]:
     workers = min(thread_count(), len(shards))
     if workers <= 1:
         return [func(shard) for shard in shards]
+    # imported here: multiprocessing and socket cost a process 17-28 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, shards))

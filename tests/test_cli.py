@@ -303,6 +303,67 @@ def test_sweeps_leave_numpy_ma_unimported(argv):
     assert done.stderr.split() == ["0", "False"]
 
 
+def test_package_import_leaves_numpy_unloaded():
+    # the kernel names load on first use, so the CLI can pin numpy's BLAS
+    # threads before numpy loads
+    probe = (
+        "import sys, fractalcensus\n"
+        "print('numpy' in sys.modules)\n"
+        "from fractalcensus import kernel\n"
+        "print(all(getattr(fractalcensus, name) is getattr(kernel, name)\n"
+        "          for name in fractalcensus.__all__))\n"
+        "try:\n"
+        "    fractalcensus.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_env("1")
+    )
+    assert done.stdout.split() == ["False", "True", "AttributeError"]
+    assert len(fractalcensus.__all__) == 7
+
+
+@pytest.mark.parametrize("exported, seen", [(None, "1"), ("2", "2")])
+def test_cli_runs_one_blas_thread(exported, seen):
+    # one OpenBLAS thread unless the user exported a count, and a
+    # one-worker sweep never loads the process pool
+    probe = (
+        "import os, sys\n"
+        "from fractalcensus.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
+        "print(code, os.environ['OPENBLAS_NUM_THREADS'],\n"
+        "      'concurrent.futures' in sys.modules, tasks, file=sys.stderr)\n"
+    )
+    env = _env("1")
+    env.pop("OPENBLAS_NUM_THREADS", None)  # importing cli here set it
+    if exported is not None:
+        env["OPENBLAS_NUM_THREADS"] = exported
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "sk", "census", "--n", "8", "--k", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    code, blas, pool, tasks = done.stderr.split()
+    assert (code, blas, pool) == ("0", seen, "False")
+    if exported is None:
+        assert tasks == "1"  # no BLAS pool thread beside the main one
+
+
+def test_cli_import_loads_every_module():
+    # bench/tracerun.py rebinds traced functions only in the modules that
+    # `import fractalcensus.cli` has loaded, so cli keeps importing them all
+    probe = "import sys, fractalcensus.cli\nprint(*sys.modules)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_env("1")
+    )
+    loaded = set(done.stdout.split())
+    for module in ("kernel", "sparsepaving", "biasedlift", "gamma", "parallel"):
+        assert f"fractalcensus.{module}" in loaded
+
+
 def _env(threads: str) -> dict:
     # a child environment that imports this checkout's package
     src = str(Path(fractalcensus.__file__).resolve().parents[1])
