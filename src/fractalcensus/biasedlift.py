@@ -44,6 +44,7 @@ from .sparsepaving import (
     NotASolution,
     TooSmall,
     _allocate,
+    _cells,
     _composition_count,
     _compositions,
     _lexmin,
@@ -471,10 +472,8 @@ def glance_signature(desc) -> GlanceKey:
     assert t >= 2
     # cell I counts the pairs where exactly the picks in I agree with the
     # last pick; thins agree everywhere
-    cells = [0] * (1 << (m - 1))
-    for j in range(t):
-        side = picks[-1] >> j & 1
-        cells[sum(1 << i for i in range(m - 1) if picks[i] >> j & 1 == side)] += 1
+    full = (1 << t) - 1
+    cells = _cells([full ^ q ^ picks[-1] for q in picks[:-1]], t)
     cells[-1] += s
     return GlanceKey(p, s, _lexmin(cells, _trun_perm_maps(m)))
 
@@ -556,7 +555,10 @@ class Category:
 
 _CATALOG_N_CAP = 14
 _CATALOG_K_CAP = 6
-_STRATA_N_CAP = 511
+# rows reach t = n // 2, so up to 511 a trun cell fits in a byte; from k = 3
+# the cap is the largest size measured to finish in 60 s and 1 GB at one
+# thread (README "Size caps")
+_STRATA_N_CAPS = {3: 381, 4: 65, 5: 27, 6: 17}
 
 
 def _invariant_key(m: Matroid) -> tuple:
@@ -716,6 +718,17 @@ def _orbit_count(t: int, m: int) -> int:
     return len(_trun_orbits(t, m))
 
 
+def check_strata_size(n: int, k: int) -> None:
+    """Raise unless strata rows support size n at bound k."""
+    if n < 0 or k < 0:
+        raise OutOfRange("size and bound must be non-negative")
+    if k > _CATALOG_K_CAP:
+        raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
+    cap = _STRATA_N_CAPS.get(k, 511)
+    if n > cap:
+        raise TooLarge(f"strata rows capped at {cap} elements at k = {k}, got {n}")
+
+
 def strata_rows(n: int, k: int) -> list[StratumRow]:
     """Stratified upper-bound census rows at any size.
 
@@ -724,13 +737,7 @@ def strata_rows(n: int, k: int) -> list[StratumRow]:
     Overlaps between categories are deliberately not subtracted, so the
     total over-counts the exact census.
     """
-    if n < 0 or k < 0:
-        raise OutOfRange("size and bound must be non-negative")
-    if k > _CATALOG_K_CAP:
-        raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
-    # rows reach t = n // 2, so up to this cap a trun cell fits in a byte
-    if n > _STRATA_N_CAP:
-        raise TooLarge(f"strata rows capped at {_STRATA_N_CAP} elements, got {n}")
+    check_strata_size(n, k)
     rows = []
     # doubled-cycle lifts keyed by (rank, members, loops, thins, orbit)
     for r in range(3, n + 1):

@@ -17,7 +17,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .biasedlift import sk_excluded_minor_classes, strata_rows, strata_total
+from .biasedlift import (
+    check_strata_size,
+    sk_excluded_minor_classes,
+    strata_rows,
+    strata_total,
+)
 from .kernel import MatroidError, OutOfRange
 from .sparsepaving import TooSmall, census_pk, check_exminor_bound, sp_excluded_minors
 
@@ -60,10 +65,7 @@ def gamma_pk_table(k: int, sizes: Iterable[int]) -> list[GammaRow]:
     rows = []
     for n in sizes:
         m = sum(row.count for row in census_pk(n, k))
-        try:
-            x = len(sp_excluded_minors(n, k))
-        except TooSmall:
-            x = 0
+        x = len(sp_excluded_minors(n, k))
         rows.append(GammaRow(n, m, "exact", x, "lower", _ratio(x, m)))
     return rows
 
@@ -82,6 +84,8 @@ def gamma_sk_table(k: int, half_sizes: Iterable[int]) -> list[GammaRow]:
     ts = sorted(set(int(t) for t in half_sizes))
     if not ts:
         return []
+    # the largest size is the last row: refuse it before the first
+    check_strata_size(2 * ts[-1], k)
     rows = []
     for n in range(2 * ts[0], 2 * ts[-1] + 1):
         m = strata_total(strata_rows(n, k))

@@ -360,12 +360,6 @@ class Matroid:
             self._cache["gram"] = got
         return got
 
-    def _degrees(self) -> tuple[tuple[int, ...], list[list[int]]]:
-        """Basis degrees, and pair degrees with a zero diagonal, as ints."""
-        gram = self._gram()
-        pair = np.where(np.eye(self.n, dtype=bool), 0, gram)
-        return tuple(np.diagonal(gram).tolist()), pair.tolist()
-
     def basis_degrees(self) -> tuple[int, ...]:
         return tuple(np.diagonal(self._gram()).tolist())
 
@@ -407,8 +401,10 @@ class Matroid:
         prof_n = other._profiles()
         if sorted(prof_m) != sorted(prof_n):
             return False
-        pd_m = self._degrees()[1]
-        pd_n = other._degrees()[1]
+        # pair degrees; the search never reads the diagonal, since an element
+        # already placed is never the one being placed
+        pd_m = self._gram().tolist()
+        pd_n = other._gram().tolist()
         cand = [
             [j for j in range(n) if prof_n[j] == prof_m[i]] for i in range(n)
         ]

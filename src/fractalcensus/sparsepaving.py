@@ -203,14 +203,7 @@ def ch_contract(f: CHFamily, e: int) -> CHFamily:
 
 
 def venn_signature(f: CHFamily) -> VennSignature:
-    cells = [0] * (1 << f.k)
-    for e in range(f.n):
-        pattern = 0
-        for i, c in enumerate(f.chs):
-            if c >> e & 1:
-                pattern |= 1 << i
-        cells[pattern] += 1
-    return VennSignature(f.k, tuple(cells))
+    return VennSignature(f.k, tuple(_cells(f.chs, f.n)))
 
 
 @lru_cache(maxsize=None)
@@ -275,26 +268,9 @@ def ch_isomorphic(f1: CHFamily, f2: CHFamily) -> bool:
 
 
 def signature_realizable(psi: VennSignature) -> tuple[int, int] | None:
-    """Ground size and rank when some family has this signature.
-
-    Realizable means: per-index cell sums agree on a common rank within
-    (0, n), and every ordered index pair has one-sided cell sum at least
-    two. Sufficiency is by explicit allocation (realize_signature).
-    """
-    k = psi.k
-    n = psi.n
-    sums = [0] * k
-    for mask, v in enumerate(psi.cells):
-        if v < 0:
-            return None
-        for i in bits(mask):
-            sums[i] += v
-    r = sums[0] if k else 0
-    if any(s != r for s in sums) or not 1 <= r <= n - 1:
-        return None
-    if not _pairs_apart(np.array([psi.cells]), k)[0]:
-        return None
-    return n, r
+    """Ground size and rank when some family has this signature."""
+    f = realize_signature(psi)
+    return None if f is None else (f.n, f.r)
 
 
 def _allocate(width: int, blocks) -> list[int]:
@@ -313,13 +289,37 @@ def _allocate(width: int, blocks) -> list[int]:
     return members
 
 
+def _cells(masks, width: int) -> list[int]:
+    """Cell sizes of member masks over elements 0..width-1, the inverse of
+    _allocate: entry I counts the elements in exactly the members whose
+    indices are the bits of I.  Each member splits every nonempty cell in
+    two, on Python ints, since grounds reach 256 elements."""
+    parts = {0: (1 << width) - 1}
+    for i, c in enumerate(masks):
+        split = {}
+        for pattern, part in parts.items():
+            if part & c:
+                split[pattern | 1 << i] = part & c
+            if part & ~c:
+                split[pattern] = part & ~c
+        parts = split
+    cells = [0] * (1 << len(masks))
+    for pattern, part in parts.items():
+        cells[pattern] = part.bit_count()
+    return cells
+
+
 def realize_signature(psi: VennSignature) -> CHFamily | None:
-    """Witness family: elements allocated to cells by ascending mask."""
-    got = signature_realizable(psi)
-    if got is None:
+    """Witness family allocated to cells by ascending mask, else None."""
+    if psi.k == 0 or min(psi.cells) < 0:
         return None
-    n, r = got
-    return chfamily(n, r, _allocate(psi.k, enumerate(psi.cells)))
+    members = _allocate(psi.k, enumerate(psi.cells))
+    # every family with signature psi is an element relabelling of this
+    # one, and validity is invariant under relabelling
+    try:
+        return chfamily(psi.n, members[0].bit_count(), members)
+    except (RankOutOfRange, WrongCardinality, DifferenceOne):
+        return None
 
 
 # -- exact census -------------------------------------------------------------
@@ -328,23 +328,6 @@ def realize_signature(psi: VennSignature) -> CHFamily | None:
 def count_signatures(k: int, n: int) -> int:
     """Number of k-index cell vectors with total n: unit-weight compositions."""
     return _composition_count((1,) * (1 << k), n)
-
-
-@lru_cache(maxsize=None)
-def _pair_selectors(m: int) -> "np.ndarray":
-    # column per ordered index pair, row per cell mask
-    cols = [
-        [1 if mask >> i & 1 and not mask >> j & 1 else 0 for mask in range(1 << m)]
-        for i in range(m)
-        for j in range(m)
-        if i != j
-    ]
-    return np.array(cols, dtype=np.int32).reshape(-1, 1 << m).T
-
-
-def _pairs_apart(arr: "np.ndarray", m: int) -> "np.ndarray":
-    """Per row of cell vectors: every ordered index pair has one-sided sum >= 2."""
-    return (arr.astype(np.int32) @ _pair_selectors(m) >= 2).all(axis=1)
 
 
 def _family_levels(n: int, r: int, k: int, top: int) -> list[list[tuple[int, ...]]]:
@@ -391,6 +374,12 @@ def _family_levels(n: int, r: int, k: int, top: int) -> list[list[tuple[int, ...
     return levels[:top]
 
 
+# cell vectors are uint8 and a cell holds up to n - 1 elements, so n <= 256;
+# from k = 3 the cap is the largest size measured to finish in 60 s and
+# 1 GB at one thread (README "Size caps")
+_CENSUS_N_CAPS = {3: 137, 4: 28, 5: 13, 6: 10}
+
+
 def census_pk(n: int, k: int) -> list[CensusRow]:
     """Isomorphism-class counts of sparse paving matroids with at most k
     circuit-hyperplanes, one row per exact count m."""
@@ -398,9 +387,9 @@ def census_pk(n: int, k: int) -> list[CensusRow]:
         raise OutOfRange("size and bound must be non-negative")
     if k > 6:
         raise BoundTooLarge("census strata cap at k = 6")
-    # cell vectors are uint8 and a cell holds up to n - 1 elements
-    if n > 256:
-        raise BoundTooLarge("census caps at n = 256")
+    cap = _CENSUS_N_CAPS.get(k, 256)
+    if n > cap:
+        raise BoundTooLarge(f"census caps at n = {cap} at k = {k}")
     counts = [0] * k
     for r in range(1, n):
         for i, level in enumerate(_family_levels(n, r, k, k)):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -257,6 +258,28 @@ def test_strata_size_cap(argv, capsys):
 def test_sp_census_size_cap(capsys):
     argv = ["sp", "census", "--n", "257", "--k", "2"]
     assert _exit_one(argv, capsys) == "BoundTooLarge"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["sp", "census", "--n", "138", "--k", "3"], "BoundTooLarge"),
+        (["sp", "census", "--n", "29", "--k", "4"], "BoundTooLarge"),
+        (["sp", "census", "--n", "14", "--k", "5"], "BoundTooLarge"),
+        (["sp", "census", "--n", "11", "--k", "6"], "BoundTooLarge"),
+        (["sk", "census", "--n", "382", "--k", "3", "--mode", "strata"], "TooLarge"),
+        (["sk", "census", "--n", "66", "--k", "4", "--mode", "strata"], "TooLarge"),
+        (["sk", "census", "--n", "28", "--k", "5", "--mode", "strata"], "TooLarge"),
+        (["sk", "census", "--n", "18", "--k", "6", "--mode", "strata"], "TooLarge"),
+        # the last row is past the cap: refused before the first is built
+        (["gamma", "sk", "--k", "6", "--t", "6..9"], "TooLarge"),
+    ],
+)
+def test_measured_caps_refuse_the_next_size_at_once(argv, error, capsys):
+    # one size past the largest measured to finish in 60 s and 1 GB
+    start = time.perf_counter()
+    assert _exit_one(argv, capsys) == error
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("t, k", [(18, 8), (20, 9), (22, 10)])

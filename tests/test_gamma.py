@@ -23,6 +23,13 @@ def test_pk_anchor_row():
     assert rows == [GammaRow(6, 12, "exact", 1, "lower", Fraction(1, 13))]
 
 
+def test_pk_table_below_four_elements_has_no_excluded_minors():
+    # no rank r with 2 <= r <= n - 2 leaves no sweep shard, so x is 0
+    rows = gamma_pk_table(1, range(0, 4))
+    assert [r.n for r in rows] == [0, 1, 2, 3]
+    assert [r.x_count for r in rows] == [0, 0, 0, 0]
+
+
 def test_pk_table_modes_and_bounds():
     rows = gamma_pk_table(3, range(8, 12))
     assert [r.n for r in rows] == [8, 9, 10, 11]

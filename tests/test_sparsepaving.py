@@ -34,13 +34,14 @@ from fractalcensus.sparsepaving import (
     NotASolution,
     TooSmall,
     VennSignature,
+    WrongCardinality,
     _allocate,
+    _cells,
     _composition_count,
     _compositions,
     _family_levels,
     _lexmin,
     _lexmin_classes,
-    _pairs_apart,
     _perm_cell_maps,
     census_csv,
     census_pk,
@@ -216,6 +217,22 @@ def _signature_vectors(
 
     rec(0, 0, 0)
     return out
+
+
+def _pair_selectors(m: int) -> np.ndarray:
+    # column per ordered index pair, row per cell mask
+    cols = [
+        [1 if mask >> i & 1 and not mask >> j & 1 else 0 for mask in range(1 << m)]
+        for i in range(m)
+        for j in range(m)
+        if i != j
+    ]
+    return np.array(cols, dtype=np.int32).reshape(-1, 1 << m).T
+
+
+def _pairs_apart(arr: np.ndarray, m: int) -> np.ndarray:
+    """Per row of cell vectors: every ordered index pair has one-sided sum >= 2."""
+    return (arr.astype(np.int32) @ _pair_selectors(m) >= 2).all(axis=1)
 
 
 def _canonical_classes(vectors: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
@@ -436,10 +453,24 @@ def test_signature_realizable_unique_two_member_size_four():
 
 
 def test_signature_realizable_rejections():
-    assert signature_realizable(VennSignature(2, (0, 2, 3, 0))) is None
-    assert signature_realizable(VennSignature(2, (1, 1, 1, 1))) is None
-    assert signature_realizable(VennSignature(2, (0, 0, 0, 4))) is None
+    # each allocation fails validation with its own error, mapped to None
+    for cells, err in [
+        ((0, 2, 3, 0), WrongCardinality),
+        ((1, 1, 1, 1), DifferenceOne),
+        ((0, 0, 0, 4), RankOutOfRange),
+    ]:
+        members = _allocate(2, enumerate(cells))
+        with pytest.raises(err):
+            chfamily(sum(cells), members[0].bit_count(), members)
+        assert signature_realizable(VennSignature(2, cells)) is None
     assert signature_realizable(VennSignature(1, (4, 0))) is None
+
+
+def test_realize_signature_needs_members_and_non_negative_cells():
+    assert realize_signature(VennSignature(0, (4,))) is None
+    assert signature_realizable(VennSignature(0, (4,))) is None
+    # the sums agree (2 each) and the pair is apart, but a cell is negative
+    assert realize_signature(VennSignature(2, (0, 2, 2, -1))) is None
 
 
 def test_realize_signature_round_trip():
@@ -450,20 +481,56 @@ def test_realize_signature_round_trip():
     assert realize_signature(VennSignature(2, (1, 1, 1, 1))) is None
 
 
+def _realizable_rule(cells, k) -> tuple[int, int] | None:
+    """Per-index cell sums agree on a rank r in [1, n - 1], and every ordered
+    index pair has one-sided cell sum at least two."""
+    if k == 0 or min(cells) < 0:
+        return None
+    n = sum(cells)
+    sums = {sum(v for mask, v in enumerate(cells) if mask >> i & 1) for i in range(k)}
+    if len(sums) != 1 or not 1 <= min(sums) <= n - 1 or not _pairs_ok(cells, k):
+        return None
+    return n, min(sums)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.data())
+@given(st.integers(0, 3), st.data())
 def test_realizable_iff_some_family_has_signature(k, data):
     cells = tuple(
-        data.draw(st.integers(0, 3), label=f"cell{mask}") for mask in range(1 << k)
+        data.draw(st.integers(-1, 3), label=f"cell{mask}") for mask in range(1 << k)
     )
     psi = VennSignature(k, cells)
     got = signature_realizable(psi)
+    assert got == _realizable_rule(cells, k)
     f = realize_signature(psi)
     if got is None:
         assert f is None
     else:
         assert f is not None and (f.n, f.r) == got
         assert venn_signature(f).cells == cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_cells_undo_allocate(k, data):
+    cells = [data.draw(st.integers(0, 70), label=f"cell{mask}") for mask in range(1 << k)]
+    assert _cells(_allocate(k, enumerate(cells)), sum(cells)) == cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 80), st.lists(st.integers(0, 2**80 - 1), max_size=4))
+def test_cells_match_per_element_loop(width, masks):
+    loop = [0] * (1 << len(masks))
+    for e in range(width):
+        loop[sum(1 << i for i, c in enumerate(masks) if c >> e & 1)] += 1
+    assert _cells(masks, width) == loop
+
+
+def test_cells_past_sixty_four_elements():
+    # census grounds reach 256 elements, past any fixed-width integer
+    f = fam(256, 130, range(0, 130), range(126, 256))
+    assert venn_signature(f) == VennSignature(2, (0, 126, 126, 4))
+    assert _cells([], 256) == [256]
 
 
 # -- census --------------------------------------------------------------------
