@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -47,8 +47,8 @@ from .sparsepaving import (
     _cells,
     _composition_count,
     _compositions,
+    _grow,
     _lexmin,
-    _lexmin_classes,
     _perm_cell_maps,
 )
 
@@ -504,39 +504,22 @@ def _trun_perm_maps(m: int) -> "np.ndarray":
     return tabs
 
 
-@lru_cache(maxsize=None)
-def _trun_orbits(t: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical trun cell vectors with total t over subsets of m-1 indices.
+def _trun_levels(t: int, top: int) -> list[list[tuple[int, ...]]]:
+    """Canonical trun cell vectors with total t at 1..top picks.
 
-    Orbits grow one pick at a time (isomorph-free generation, McKay,
-    J. Algorithms 26, 1998).  Dropping a non-reference pick from a valid
-    family leaves a valid family, so every orbit at m picks extends some
-    representative v at m-1: the new pick takes index m-2 and agrees with
-    the reference on a_I of the v_I coordinates of each cell I, giving the
-    child (v - a) ++ a.  Children with a pick closer than 2 to the new one
-    are dropped and the rest are canonicalized.
+    Entry m - 1 lists, sorted, the least trun cell vector of every orbit of
+    m-pick families at pairwise distance at least 2, level 1 being the
+    reference (t,) alone.  The new pick agrees with the reference on a_I of
+    the v_I coordinates of cell I; dropping it leaves a valid family.
     """
-    if m < 1:
-        raise ValueError("orbit enumeration needs at least one pick")
-    if m == 1:
-        return ((t,),)
-    half = 1 << (m - 2)
-    # agree[I, i]: pick i sides with the reference on cell I; the last
-    # column is the reference itself.  The new pick is then at distance
-    # agree[:, i] . (v - a) + (1 - agree[:, i]) . a from pick i.
-    agree = np.ones((half, m - 1), dtype=np.int64)
-    agree[:, :-1] = np.arange(half)[:, None] >> np.arange(m - 2) & 1
-    sign = 1 - 2 * agree
-    # the empty block keeps the concatenation defined when t < 2 leaves
-    # no representative to extend
-    kids = [np.zeros((0, 2 * half), dtype=np.int64)]
-    for v in _trun_orbits(t, m - 1):
-        vec = np.array(v)
-        a = np.indices(vec + 1).reshape(half, -1).T
-        a = a[(vec @ agree + a @ sign >= 2).all(axis=1)]
-        kids.append(np.hstack([vec - a, a]))
-    arr = np.concatenate(kids).astype(np.min_scalar_type(t))
-    return tuple(_lexmin_classes(arr, _trun_perm_maps(m)))
+
+    def keep(inside, vec, a):
+        # the new pick is at distance inside . (v - a) + (1 - inside) . a
+        # from each earlier pick, and sum(v - a) from the reference
+        apart = vec @ inside + a @ (1 - 2 * inside) >= 2
+        return apart.all(axis=1) & (a.sum(axis=1) + 2 <= vec.sum())
+
+    return _grow([(t,)], top, _trun_perm_maps, lambda m, inside, vec: (0, vec), keep)
 
 
 def _family_from_cells(cells: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -558,7 +541,7 @@ _CATALOG_K_CAP = 6
 # rows reach t = n // 2, so up to 511 a trun cell fits in a byte; from k = 3
 # the cap is the largest size measured to finish in 60 s and 1 GB at one
 # thread (README "Size caps")
-_STRATA_N_CAPS = {3: 381, 4: 65, 5: 27, 6: 17}
+_STRATA_N_CAPS = {3: 431, 4: 69, 5: 27, 6: 17}
 
 
 def _invariant_key(m: Matroid) -> tuple:
@@ -576,17 +559,14 @@ def _cycle_shapes(n: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _catalog_a(n: int, k: int) -> Iterator[Matroid]:
-    for t, s, p in _cycle_shapes(n):
-        g = GGraph(CYCLE, t, s, p)
-        families: list[tuple[int, ...]] = [()]
-        if k >= 1:
-            families.append((0,))
-        for m in range(2, k + 1):
-            if t < 2:
-                break
-            families += [_family_from_cells(c, m) for c in _trun_orbits(t, m)]
-        for picks in families:
-            yield lift_matroid(g, ham_class(g, picks))
+    # shapes run t-outer, so each t's orbits are built once per catalog
+    for t, shapes in groupby(_cycle_shapes(n), key=lambda shape: shape[0]):
+        levels = enumerate(_trun_levels(t, k), 1)
+        families = [()] + [_family_from_cells(c, m) for m, lv in levels for c in lv]
+        for _, s, p in shapes:
+            g = GGraph(CYCLE, t, s, p)
+            for picks in families:
+                yield lift_matroid(g, ham_class(g, picks))
 
 
 def _catalog_b(n: int, k: int) -> Iterator[Matroid]:
@@ -656,10 +636,10 @@ def categorize(m: Matroid, k: int) -> Category | None:
     Classification is generate-and-test against the catalog, so a result
     of None is a certificate that m lies outside the class for this bound.
     Catalogs are cached per (size, bound); the very largest combination
-    (14 elements with bound 6) takes about 20 seconds to build on first use
-    on a 2-vCPU host: about a third assembling lifts, a third computing the
-    element profiles of the bucket keys, the rest trun orbits and the 3,709
-    isomorphism tests of its dedupe.
+    (14 elements with bound 6) takes 13-15 seconds to build on first use on
+    a 2-vCPU host (README "Size caps"): the largest share assembles lifts,
+    and the trun orbits, the element profiles of the bucket keys and the
+    3,709 isomorphism tests of its dedupe take the rest.
     """
     if k < 0:
         raise OutOfRange(f"negative bound {k}")
@@ -710,12 +690,10 @@ class StratumRow:
     mode: str
 
 
-def _orbit_count(t: int, m: int) -> int:
-    if m <= 1:
-        return 1
-    if t < 2:
-        return 0
-    return len(_trun_orbits(t, m))
+@lru_cache(maxsize=None)
+def _orbit_counts(t: int, k: int) -> tuple[int, ...]:
+    """Trun orbit counts at 0..k picks: the counts alone are cached."""
+    return (1, *map(len, _trun_levels(t, k)))
 
 
 def check_strata_size(n: int, k: int) -> None:
@@ -744,7 +722,7 @@ def strata_rows(n: int, k: int) -> list[StratumRow]:
         for m in range(k + 1):
             count = 0
             for s in range(max(0, 2 * r - n), r + 1):
-                count += _orbit_count(r - s, m)
+                count += _orbit_counts(r - s, k)[m]
             if count:
                 rows.append(StratumRow(n, k, "A", r, m, count, "upper"))
     if n >= 1:

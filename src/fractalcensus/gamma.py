@@ -24,7 +24,7 @@ from .biasedlift import (
     strata_total,
 )
 from .kernel import MatroidError, OutOfRange
-from .sparsepaving import TooSmall, census_pk, check_exminor_bound, sp_excluded_minors
+from .sparsepaving import TooSmall, census_pk, exminor_shards, sp_excluded_minors
 
 
 class DegenerateSeries(MatroidError):
@@ -60,8 +60,9 @@ def gamma_pk_table(k: int, sizes: Iterable[int]) -> list[GammaRow]:
     Member counts are exact census values; excluded-minor counts come from
     the collar construction and are lower bounds.
     """
-    # the census at a bound past the sweep's could run long before failing
-    check_exminor_bound(k)
+    # refuse the sweep's caps before the first row; the census reports a negative size
+    sizes = list(sizes)
+    exminor_shards(max([0, *sizes]), k)
     rows = []
     for n in sizes:
         m = sum(row.count for row in census_pk(n, k))

@@ -330,48 +330,68 @@ def count_signatures(k: int, n: int) -> int:
     return _composition_count((1,) * (1 << k), n)
 
 
+def _grow(first, top, tabs, bounds, keep) -> list[list[tuple[int, ...]]]:
+    """Canonical cell vectors of levels 1..top, grown one index at a time
+    (isomorph-free generation, McKay, J. Algorithms 26, 1998).
+
+    Level 1 is first; tabs(m) gathers every reordering of a level-m vector's
+    indices.  Dropping the newest index of a valid vector leaves a valid one,
+    so each class at level m extends some representative v at m - 1: the new
+    index holds a_I of the v_I elements of cell I, giving (v - a) ++ a.  On
+    v's nonzero cells a spans bounds(m, inside, v), with inside[I, i] = 1 when
+    cell I lies in index i, and keep(inside, v, a) picks the valid children.
+    """
+    # cells never grow, so the first level's largest cell sets the dtype
+    dtype = np.min_scalar_type(max(map(max, first), default=0))
+    levels = [first]
+    for m in range(2, top + 1):
+        tab = tabs(m)
+        half = tab.shape[1] // 2
+        inside = np.arange(half)[:, None] >> np.arange(half.bit_length() - 1) & 1
+        kids = [np.zeros((0, 2 * half), dtype=dtype)]
+        for v in levels[-1]:
+            vec = np.array(v, dtype=dtype)
+            # the grid spans the nonzero cells only, as np.indices over all 64
+            # cells of a level-6 parent would pass numpy's axis cap; spans are
+            # int64 (a cell of 255 spans 256), and an all-zero parent spans one a
+            cells = np.flatnonzero(vec)
+            low, high = bounds(m, inside[cells], vec[cells])
+            span = np.asarray(high, dtype=np.int64) - low + 1
+            grid = np.indices(span, dtype=dtype).reshape(len(cells), span.prod()).T + low
+            grid = grid[keep(inside[cells], vec[cells], grid)]
+            a = np.zeros((len(grid), half), dtype=dtype)
+            a[:, cells] = grid
+            kids.append(np.hstack([vec - a, a]))
+        levels.append(_lexmin_classes(np.concatenate(kids), tab))
+    return levels[:top]
+
+
 def _family_levels(n: int, r: int, k: int, top: int) -> list[list[tuple[int, ...]]]:
     """Canonical cell vectors of rank-r families with 1..top members.
 
     Entry m - 1 lists, sorted, the least cell vector of every isomorphism
     class of m-member families whose element degrees lie in the band
     [max(0, m - k), k]: levels 1..k are the census strata, and levels
-    k+1..2k the excluded-minor candidates.  Levels grow one member at a
-    time (isomorph-free generation, McKay, J. Algorithms 26, 1998).
-    Dropping a member lowers each degree by at most 1 and keeps every pair
-    apart, so each class at level m extends some representative v at
-    m - 1: the new member takes the top index and holds a_I of the v_I
-    elements of each cell I, giving the child (v - a) ++ a.
+    k+1..2k the excluded-minor candidates.  Dropping a member lowers each
+    degree by at most 1 and keeps every pair apart, so _grow reaches every
+    class.
     """
-    levels = [[(n - r, r)] if 1 <= r <= n - 1 else []]
-    for m in range(2, top + 1):
-        half = 1 << (m - 1)
-        lo = max(0, m - k)
-        # member[I, i]: old member i holds the elements of cell I
-        member = np.arange(half)[:, None] >> np.arange(m - 1) & 1
-        size = member.sum(axis=1)
-        kids = [np.zeros((0, 2 * half), dtype=np.uint8)]
-        for v in levels[-1]:
-            vec = np.array(v, dtype=np.uint8)
-            cells = np.flatnonzero(vec)
-            # the grid spans the nonzero cells only, at most n of them and
-            # 2^n rows: over all 64 cells of a level-6 parent np.indices
-            # would need 65 axes, past numpy's cap.  Cells below the band
-            # move whole into the new member and cells at its top stay out,
-            # so every nonzero child cell is inside the band.
-            low = np.where(size[cells] < lo, vec[cells], 0)
-            high = np.where(size[cells] < k, vec[cells], 0)
-            grid = np.indices(high - low + 1, dtype=np.uint8).reshape(len(cells), -1).T
-            grid += low
-            grid = grid[grid.sum(axis=1) == r]
-            a = np.zeros((len(grid), half), dtype=np.uint8)
-            a[:, cells] = grid
-            # members have r elements each, so meeting every old member in
-            # at most r - 2 elements is a difference of 2 in both directions
-            a = a[(a @ member <= r - 2).all(axis=1)]
-            kids.append(np.hstack([vec - a, a]))
-        levels.append(_lexmin_classes(np.concatenate(kids), _perm_cell_maps(m)))
-    return levels[:top]
+
+    def bounds(m, inside, vec):
+        # cells below the band move whole into the new member, and cells at
+        # its top stay out
+        size = inside.sum(axis=1)
+        return np.where(size < m - k, vec, 0), np.where(size < k, vec, 0)
+
+    def keep(inside, vec, a):
+        # members have r elements each, so meeting every old member in at
+        # most r - 2 elements is a difference of 2 in both directions
+        ok = a.sum(axis=1) == r
+        ok[ok] = (a[ok] @ inside <= r - 2).all(axis=1)
+        return ok
+
+    first = [(n - r, r)] if 1 <= r <= n - 1 else []
+    return _grow(first, top, _perm_cell_maps, bounds, keep)
 
 
 # cell vectors are uint8 and a cell holds up to n - 1 elements, so n <= 256;

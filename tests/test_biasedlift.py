@@ -39,8 +39,9 @@ from fractalcensus.biasedlift import (
     _family_from_cells,
     _ham_mask,
     _invariant_key,
+    _orbit_counts,
     _pair_mask,
-    _trun_orbits,
+    _trun_levels,
     _trun_perm_maps,
     bottom_construct,
     bottom_index_sets,
@@ -96,6 +97,10 @@ from fractalcensus.sparsepaving import (
     _lexmin_classes,
     _perm_cell_maps,
 )
+
+
+def _trun_orbits(t, m):
+    return tuple(_trun_levels(t, m)[m - 1])
 
 
 def all_specs(t, max_picks=2):
@@ -640,7 +645,7 @@ def test_glance_matches_per_last_reference(t, s, p, raw):
 # -- orbit machinery ----------------------------------------------------------------
 
 
-# Oracle for _trun_orbits: a pruned recursion over every labelled trun
+# Oracle for _trun_levels: a pruned recursion over every labelled trun
 # vector, independent of the one-pick extension.
 
 
@@ -816,6 +821,42 @@ def test_trun_orbits_match_labelled_oracle(t, m):
 def test_trun_orbit_cells_past_a_byte(t):
     # two picks at distance 2..t, one orbit each
     assert len(_trun_orbits(t, 2)) == t - 1
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_orbit_counts_match_labelled_oracle(k):
+    for t in range(7):
+        want = [1]
+        for m in range(1, k + 1):
+            arr = np.array(_trun_vectors(t, m), dtype=np.uint8)
+            arr = arr.reshape(-1, 1 << (m - 1))
+            want.append(len(_lexmin_classes(arr, _trun_perm_maps(m))))
+        assert _orbit_counts(t, k) == tuple(want)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_strata_rows_keep_counts_not_orbits():
+    # a fresh process: each t's orbit levels are counted and dropped, so the
+    # 801,700 three-pick orbits of n = 201 are never held at once (116 MB
+    # peak while every orbit tuple was cached).  VmHWM is the probe's own
+    # peak; its ru_maxrss would also hold this process's, since exec keeps
+    # the peak of the memory it replaces.
+    src = str(Path(fractalcensus.__file__).resolve().parents[1])
+    env = dict(os.environ, FRACTAL_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "from fractalcensus.biasedlift import strata_rows, strata_total\n"
+        "total = strata_total(strata_rows(201, 3))\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(total, status.split()[0])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    total, peak_kib = map(int, done.stdout.split())
+    assert total == 34269071
+    assert peak_kib < 80 * 1024
 
 
 def test_trun_orbit_counts_at_six_and_seven():

@@ -267,8 +267,8 @@ def test_sp_census_size_cap(capsys):
         (["sp", "census", "--n", "29", "--k", "4"], "BoundTooLarge"),
         (["sp", "census", "--n", "14", "--k", "5"], "BoundTooLarge"),
         (["sp", "census", "--n", "11", "--k", "6"], "BoundTooLarge"),
-        (["sk", "census", "--n", "382", "--k", "3", "--mode", "strata"], "TooLarge"),
-        (["sk", "census", "--n", "66", "--k", "4", "--mode", "strata"], "TooLarge"),
+        (["sk", "census", "--n", "432", "--k", "3", "--mode", "strata"], "TooLarge"),
+        (["sk", "census", "--n", "70", "--k", "4", "--mode", "strata"], "TooLarge"),
         (["sk", "census", "--n", "28", "--k", "5", "--mode", "strata"], "TooLarge"),
         (["sk", "census", "--n", "18", "--k", "6", "--mode", "strata"], "TooLarge"),
         # the last row is past the cap: refused before the first is built

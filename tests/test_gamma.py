@@ -113,3 +113,13 @@ def test_pk_table_checks_sweep_bound_before_census(monkeypatch):
     monkeypatch.setattr(gamma, "census_pk", census)
     with pytest.raises(BoundTooLarge):
         gamma_pk_table(5, [8])
+
+
+def test_pk_table_checks_last_size_before_census(monkeypatch):
+    # n = 17 is past the sweep's cap: rows 14-16 are never built
+    def census(n, k):
+        raise AssertionError("census ran before the size check")
+
+    monkeypatch.setattr(gamma, "census_pk", census)
+    with pytest.raises(BoundTooLarge):
+        gamma_pk_table(2, range(14, 18))
