@@ -48,7 +48,7 @@ from .sparsepaving import (
     _composition_count,
     _compositions,
     _grow,
-    _lexmin,
+    _lexmin_classes,
     _perm_cell_maps,
 )
 
@@ -475,7 +475,7 @@ def glance_signature(desc) -> GlanceKey:
     full = (1 << t) - 1
     cells = _cells([full ^ q ^ picks[-1] for q in picks[:-1]], t)
     cells[-1] += s
-    return GlanceKey(p, s, _lexmin(cells, _trun_perm_maps(m)))
+    return GlanceKey(p, s, _lexmin_classes([cells], _trun_perm_maps(m))[0])
 
 
 def glance_isomorphic(d1, d2) -> bool:

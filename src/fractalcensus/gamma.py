@@ -58,7 +58,7 @@ def gamma_pk_table(k: int, sizes: Iterable[int]) -> list[GammaRow]:
     """Boundary ratios for the sparse paving class at each size.
 
     Member counts are exact census values; excluded-minor counts come from
-    the collar construction and are lower bounds.
+    the band sweep sp_excluded_minors and are lower bounds.
     """
     # refuse the sweep's caps before the first row; the census reports a negative size
     sizes = list(sizes)

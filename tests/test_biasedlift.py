@@ -93,12 +93,12 @@ from fractalcensus.kernel import (
 from fractalcensus.sparsepaving import (
     NotASolution,
     TooSmall,
-    _lexmin,
     _lexmin_classes,
     _perm_cell_maps,
 )
 
 
+@lru_cache(maxsize=None)
 def _trun_orbits(t, m):
     return tuple(_trun_levels(t, m)[m - 1])
 
@@ -766,7 +766,7 @@ def test_batched_lexmin_matches_scalar_on_trun_vectors(m):
             one = np.array([v], dtype=np.uint8)
             want = min(tuple(v[x] for x in tab) for tab in tabs)
             assert _lexmin_classes(one, tabs) == [want]
-            assert _lexmin(v, tabs) == want
+            assert _lexmin_classes([v], tabs) == [want]
         assert list(_trun_orbits(t, m)) == sorted(
             {min(tuple(v[x] for x in tab) for tab in tabs) for v in vectors}
         )
@@ -884,7 +884,8 @@ def test_trun_orbits_hold_every_pick_family(t, raw):
             picks.append(x)
     assume(len(picks) >= 2)
     m = len(picks)
-    assert _lexmin(_trun_cells(t, picks), _trun_perm_maps(m)) in _trun_orbits(t, m)
+    least = _lexmin_classes([_trun_cells(t, picks)], _trun_perm_maps(m))
+    assert least[0] in _trun_orbits(t, m)
 
 
 # -- categories ---------------------------------------------------------------------
@@ -1012,19 +1013,20 @@ def test_census_sk_exact_grid():
         assert tuple(census_sk_exact(n, k) for k in range(7)) == row
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_category_catalog_corner_fits_in_memory():
     # the largest catalog, in a fresh process: each representative keeps its
     # bases as one uint32 array, so the whole build peaks far below the
-    # 733 MB that per-basis Python ints took
+    # 733 MB that per-basis Python ints took.  VmHWM is the probe's own peak;
+    # its ru_maxrss would also hold this process's
     src = str(Path(fractalcensus.__file__).resolve().parents[1])
     env = dict(os.environ, FRACTAL_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
-        "import resource\n"
         "from fractalcensus.biasedlift import _category_catalog\n"
         "classes = sum(map(len, _category_catalog(14, 6).values()))\n"
-        "print(classes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(classes, status.split()[0])\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env

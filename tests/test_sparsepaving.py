@@ -5,6 +5,7 @@ with the kernel's permutation-isomorphism test, so the signature-based
 counts are confirmed by machinery that never looks at Venn cells.
 """
 
+import random
 from itertools import permutations, product
 from math import comb
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalcensus.biasedlift import _trun_perm_maps
 from fractalcensus.bitset import bits, mask_from, subset_masks
 from fractalcensus.kernel import (
     MalformedDocument,
@@ -40,7 +42,6 @@ from fractalcensus.sparsepaving import (
     _composition_count,
     _compositions,
     _family_levels,
-    _lexmin,
     _lexmin_classes,
     _perm_cell_maps,
     census_csv,
@@ -752,9 +753,51 @@ def test_batched_lexmin_matches_scalar_on_signature_vectors(m):
             for v in vectors:
                 one = np.array([v], dtype=np.uint8)
                 assert _lexmin_classes(one, tabs) == [_scalar_lexmin(v, tabs)]
-                assert _lexmin(v, tabs) == _scalar_lexmin(v, tabs)
+                assert _lexmin_classes([v], tabs) == [_scalar_lexmin(v, tabs)]
             want = sorted({_scalar_lexmin(v, tabs) for v in vectors})
             assert _lexmin_classes(arr, tabs) == want
+
+
+def _lexmin_cases(tabs, peaks, count, seed):
+    # cells drawn from small values and the peaks, so byte boundaries and
+    # bytes >= 128 land in every position of the key
+    rng = random.Random(seed)
+    pool = [0, 1, 2, *peaks]
+    return [[rng.choice(pool) for _ in range(tabs.shape[1])] for _ in range(count)]
+
+
+def _lexmin_tables():
+    return [_perm_cell_maps(m) for m in range(1, 5)] + [
+        _trun_perm_maps(m) for m in range(2, 5)
+    ]
+
+
+@pytest.mark.parametrize(
+    "peaks", [(127, 128, 255), (255, 256, 257, 511), (65535, 65536, 65537, 70000)]
+)
+def test_lexmin_orders_wide_cells_as_ints(peaks):
+    for seed, tabs in enumerate(_lexmin_tables()):
+        vectors = _lexmin_cases(tabs, peaks, 60, seed)
+        for v in vectors:
+            assert _lexmin_classes([v], tabs) == [_scalar_lexmin(v, tabs)]
+        want = sorted({_scalar_lexmin(v, tabs) for v in vectors})
+        assert _lexmin_classes(np.array(vectors), tabs) == want
+
+
+@pytest.mark.parametrize("block", [1, 200, 640, 1000])
+def test_lexmin_blocks_cross_rows_and_tables(monkeypatch, block):
+    # blocks far below a row's gather split the tables too, and the uneven
+    # sizes leave a short last block of rows and of tables
+    monkeypatch.setattr("fractalcensus.sparsepaving._LEXMIN_BLOCK", block)
+    for seed, tabs in enumerate(_lexmin_tables()):
+        for peaks in [(3,), (300,)]:
+            vectors = _lexmin_cases(tabs, peaks, 37, seed)
+            want = sorted({_scalar_lexmin(v, tabs) for v in vectors})
+            assert _lexmin_classes(np.array(vectors), tabs) == want
+            # repeats collapse to one class each
+            assert _lexmin_classes(np.array(vectors * 2), tabs) == want
+        empty = np.zeros((0, tabs.shape[1]), dtype=np.uint8)
+        assert _lexmin_classes(empty, tabs) == []
 
 
 def _pairs_ok(cells, m):
