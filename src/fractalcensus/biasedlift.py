@@ -538,16 +538,10 @@ class Category:
 
 _CATALOG_N_CAP = 14
 _CATALOG_K_CAP = 6
-# rows reach t = n // 2, so up to 511 a trun cell fits in a byte; from k = 3
-# the cap is the largest size measured to finish in 60 s and 1 GB at one
-# thread (README "Size caps")
+# k <= 2 keeps the seed's limit n <= 511, a CLI contract and not a storage
+# limit (_grow sizes cells by the largest); from k = 3 the cap is the largest
+# size measured to finish in 60 s and 1 GB at one thread (README "Size caps")
 _STRATA_N_CAPS = {3: 431, 4: 69, 5: 27, 6: 17}
-
-
-def _invariant_key(m: Matroid) -> tuple:
-    # each profile starts with the element's basis degree, so this covers the
-    # basis-degree multiset too
-    return (m.r, len(m.basis_array), tuple(sorted(m._profiles())))
 
 
 def _cycle_shapes(n: int) -> Iterator[tuple[int, int, int]]:
@@ -607,7 +601,7 @@ def _catalog_f(n: int) -> Iterator[Matroid]:
 @lru_cache(maxsize=None)
 def _category_catalog(n: int, k: int) -> dict[tuple, list[tuple[str, Matroid]]]:
     """One (tag, representative) pair per isomorphism class of members at
-    size n, bucketed by invariant key.
+    size n, bucketed by ``Matroid._invariant``.
 
     The generators run in ABCDEF order and a member is stored only when no
     representative in its bucket is isomorphic to it, so each class keeps
@@ -624,7 +618,7 @@ def _category_catalog(n: int, k: int) -> dict[tuple, list[tuple[str, Matroid]]]:
         ("F", _catalog_f(n)),
     ):
         for m in gen:
-            reps = catalog.setdefault(_invariant_key(m), [])
+            reps = catalog.setdefault(m._invariant(), [])
             if not any(m.is_isomorphic(rep) for _, rep in reps):
                 reps.append((tag, m))
     return catalog
@@ -647,7 +641,7 @@ def categorize(m: Matroid, k: int) -> Category | None:
         raise TooLargeForExact(f"ground size {m.n} above {_CATALOG_N_CAP}")
     if k > _CATALOG_K_CAP:
         raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
-    for tag, rep in _category_catalog(m.n, k).get(_invariant_key(m), ()):
+    for tag, rep in _category_catalog(m.n, k).get(m._invariant(), ()):
         if m.is_isomorphic(rep):
             return Category(tag)
     return None
@@ -867,11 +861,20 @@ def verify_sk_excluded_minor(spec: SpikeSpec, k: int, mode: str = "auto") -> boo
     return True
 
 
+# the largest t measured to finish in 60 s and 1 GB at one thread (README
+# "Size caps"); at k = 2 the bottom equation has no variables, so any t is
+# instant
+_SK_EXMINOR_T_CAPS = {3: 850, 4: 23, 5: 17, 6: 17, 7: 17}
+
+
 def sk_excluded_minor_classes(t: int, k: int) -> list[SpikeSpec]:
     """Constructed excluded minors at half-size t, one per signature class."""
     # the k + 1 picks of each class must fit the 8-index permutation tables
     if k > 7:
         raise TooLarge(f"bound {k} above 7")
+    cap = _SK_EXMINOR_T_CAPS.get(k)
+    if cap is not None and t > cap:
+        raise TooLarge(f"excluded minors capped at t = {cap} at k = {k}, got {t}")
     out = []
     seen = set()
     for phi in bottom_solutions(t, k):

@@ -22,10 +22,10 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .biasedlift import (
+    TooLarge,
     bottom_solution_count,
     census_sk_exact,
     census_sk_strata,
-    pick_string,
     sk_excluded_minor_classes,
     sk_verify_mode,
     spike_from_spec,
@@ -177,12 +177,7 @@ def _run_spike_verify(args) -> int:
     mode = sk_verify_mode(spec.t, args.mode)
     ok = verify_sk_excluded_minor(spec, args.k, mode=mode)
     _print_json(
-        {
-            "excluded_minor": ok,
-            "mode": mode,
-            "t": spec.t,
-            "picks": sorted(pick_string(spec.t, p) for p in spec.picks),
-        }
+        {"excluded_minor": ok, "mode": mode, **json.loads(spikespec_to_json(spec))}
     )
     return 0 if ok else 1
 
@@ -196,11 +191,8 @@ def _run_sk_census(args) -> int:
 
 
 def _run_sk_exminors(args) -> int:
-    docs = []
-    for spec in sk_excluded_minor_classes(args.t, args.k):
-        docs.append(
-            {"t": spec.t, "picks": sorted(pick_string(spec.t, p) for p in spec.picks)}
-        )
+    specs = sk_excluded_minor_classes(args.t, args.k)
+    docs = [json.loads(spikespec_to_json(spec)) for spec in specs]
     _emit(json.dumps(docs, separators=(", ", ": ")) + "\n", args.out)
     return 0
 
@@ -215,7 +207,17 @@ def _run_gamma_sk(args) -> int:
     return 0
 
 
+# per source, the largest k and range top measured to finish in 60 s and
+# 1 GB together, over a range from the smallest size (README "Size caps")
+_SLOPE_CAPS = {"eqn1": (9, 1000), "eqn2": (10, 1000)}
+
+
 def _run_slope(args) -> int:
+    k_cap, top_cap = _SLOPE_CAPS[args.source]
+    if args.k > k_cap or args.range[-1] > top_cap:
+        raise TooLarge(
+            f"{args.source} series capped at k = {k_cap} and size {top_cap}"
+        )
     if args.source == "eqn1":
         series = [(n, collar_solution_count(n, args.k)) for n in args.range]
     else:

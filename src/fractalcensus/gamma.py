@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .biasedlift import (
+    TooLarge,
     check_strata_size,
     sk_excluded_minor_classes,
     strata_rows,
@@ -71,6 +72,12 @@ def gamma_pk_table(k: int, sizes: Iterable[int]) -> list[GammaRow]:
     return rows
 
 
+# gamma sk runs one sk exminors per even size: the largest last t measured
+# over a range from t = 6 to finish in 60 s and 1 GB at one thread (README
+# "Size caps"); from k = 5 the strata caps are lower
+_GAMMA_SK_T_CAPS = {3: 155, 4: 22}
+
+
 def gamma_sk_table(k: int, half_sizes: Iterable[int]) -> list[GammaRow]:
     """Boundary ratios for the spike-minor class over a half-size window.
 
@@ -87,6 +94,9 @@ def gamma_sk_table(k: int, half_sizes: Iterable[int]) -> list[GammaRow]:
         return []
     # the largest size is the last row: refuse it before the first
     check_strata_size(2 * ts[-1], k)
+    cap = _GAMMA_SK_T_CAPS.get(k)
+    if cap is not None and ts[-1] > cap:
+        raise TooLarge(f"spike-minor ratios capped at t = {cap} at k = {k}")
     rows = []
     for n in range(2 * ts[0], 2 * ts[-1] + 1):
         m = strata_total(strata_rows(n, k))

@@ -195,17 +195,13 @@ class Matroid:
 
     def circuits(self) -> SetFamily:
         """Minimal dependent sets, ascending by mask."""
-        got = self._cache.get("circuits")
-        if got is None:
-            indep = self._rank_table() == _subset_sizes(self.n)
-            minimal = ~indep
-            for e in range(self.n):
-                step = 1 << e
-                mv = minimal.reshape(-1, 2, step)
-                mv[:, 1, :] &= indep.reshape(-1, 2, step)[:, 0, :]
-            got = SetFamily(self.n, tuple(np.flatnonzero(minimal).tolist()))
-            self._cache["circuits"] = got
-        return got
+        indep = self._rank_table() == _subset_sizes(self.n)
+        minimal = ~indep
+        for e in range(self.n):
+            step = 1 << e
+            mv = minimal.reshape(-1, 2, step)
+            mv[:, 1, :] &= indep.reshape(-1, 2, step)[:, 0, :]
+        return SetFamily(self.n, tuple(np.flatnonzero(minimal).tolist()))
 
     def _flat_sweep(self, cyclic: bool) -> "np.ndarray":
         """Mask over all 2^n subsets of the flats, or of the cyclic flats.
@@ -231,12 +227,8 @@ class Matroid:
         """Flats of rank r-1 (maximal proper flats)."""
         if self.r == 0:
             raise RankZero("rank-0 matroid has no hyperplanes")
-        got = self._cache.get("hyperplanes")
-        if got is None:
-            flat = self._flat_sweep(cyclic=False) & (self._rank_table() == self.r - 1)
-            got = SetFamily(self.n, tuple(np.flatnonzero(flat).tolist()))
-            self._cache["hyperplanes"] = got
-        return got
+        flat = self._flat_sweep(cyclic=False) & (self._rank_table() == self.r - 1)
+        return SetFamily(self.n, tuple(np.flatnonzero(flat).tolist()))
 
     def circuit_hyperplanes(self) -> tuple[int, ...]:
         """Circuits that are simultaneously hyperplanes, ascending.
@@ -257,16 +249,12 @@ class Matroid:
 
     def cyclic_flats(self) -> list[RankedFlat]:
         """Closed sets whose restriction has no coloop, by rank then mask."""
-        got = self._cache.get("cyclic_flats")
-        if got is None:
-            rt = self._rank_table()
-            flats = np.flatnonzero(self._flat_sweep(cyclic=True)).tolist()
-            got = sorted(
-                (RankedFlat(f, int(rt[f])) for f in flats),
-                key=lambda rf: (rf.rank, rf.flat),
-            )
-            self._cache["cyclic_flats"] = got
-        return list(got)
+        rt = self._rank_table()
+        flats = np.flatnonzero(self._flat_sweep(cyclic=True)).tolist()
+        return sorted(
+            (RankedFlat(f, int(rt[f])) for f in flats),
+            key=lambda rf: (rf.rank, rf.flat),
+        )
 
     # -- minors, duality, components ----------------------------------------
 
@@ -360,9 +348,6 @@ class Matroid:
             self._cache["gram"] = got
         return got
 
-    def basis_degrees(self) -> tuple[int, ...]:
-        return tuple(np.diagonal(self._gram()).tolist())
-
     def _profiles(self) -> list[tuple]:
         """Per element: basis degree and ascending pair degrees to the others."""
         got = self._cache.get("profiles")
@@ -377,16 +362,20 @@ class Matroid:
             self._cache["profiles"] = got
         return got
 
+    def _invariant(self) -> tuple:
+        """Rank, basis count and sorted element profiles: relabelling only
+        permutes the profiles, so isomorphic matroids share this key.  Each
+        profile starts with its basis degree, so that multiset is covered."""
+        return (self.r, len(self._bases), tuple(sorted(self._profiles())))
+
     def is_isomorphic(self, other: "Matroid") -> bool:
         """Permutation isomorphism via pruned backtracking.
 
-        Pruning layers: (n, r, basis count), then the multiset of
-        per-element profiles (basis degree and sorted pair degrees, so the
-        basis-degree multiset is covered too), then a backtracking search
-        that keeps partial maps pair-degree-consistent and finally checks
-        that relabelling by the map gives the other's bases.  Tests validate
-        the pruning against an unpruned full-permutation scan on small
-        ground sets.
+        Pruning layers: (n, r, basis count), then :meth:`_invariant`, then a
+        backtracking search that keeps partial maps pair-degree-consistent
+        and finally checks that relabelling by the map gives the other's
+        bases.  Tests validate the pruning against an unpruned
+        full-permutation scan on small ground sets.
         """
         if (self.n, self.r, len(self._bases)) != (
             other.n,
@@ -397,10 +386,10 @@ class Matroid:
         if np.array_equal(self._bases, other._bases):
             return True
         n = self.n
+        if self._invariant() != other._invariant():
+            return False
         prof_m = self._profiles()
         prof_n = other._profiles()
-        if sorted(prof_m) != sorted(prof_n):
-            return False
         # pair degrees; the search never reads the diagonal, since an element
         # already placed is never the one being placed
         pd_m = self._gram().tolist()

@@ -393,9 +393,9 @@ def _family_levels(n: int, r: int, k: int, top: int) -> list[list[tuple[int, ...
     return _grow(first, top, _perm_cell_maps, bounds, keep)
 
 
-# cell vectors are uint8 and a cell holds up to n - 1 elements, so n <= 256;
-# from k = 3 the cap is the largest size measured to finish in 60 s and
-# 1 GB at one thread (README "Size caps")
+# k <= 2 keeps the seed's limit n <= 256, a CLI contract and not a storage
+# limit (_grow sizes cells by the largest); from k = 3 the cap is the largest
+# size measured to finish in 60 s and 1 GB at one thread (README "Size caps")
 _CENSUS_N_CAPS = {3: 137, 4: 28, 5: 13, 6: 10}
 
 

@@ -209,13 +209,7 @@ def _criterion_4():
         buckets = {}
 
         def fresh(mat, stratum):
-            key = (
-                stratum,
-                mat.r,
-                len(mat.bases),
-                tuple(sorted(mat._profiles())),
-            )
-            reps = buckets.setdefault(key, [])
+            reps = buckets.setdefault((stratum, mat._invariant()), [])
             if any(mat.is_isomorphic(rep) for rep in reps):
                 return False
             reps.append(mat)

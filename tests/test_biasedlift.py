@@ -38,7 +38,6 @@ from fractalcensus.biasedlift import (
     _cycle_structure,
     _family_from_cells,
     _ham_mask,
-    _invariant_key,
     _orbit_counts,
     _pair_mask,
     _trun_levels,
@@ -562,7 +561,7 @@ def test_equal_profile_spikes_are_told_apart():
     # separates them; their glance keys differ
     a, b = spike_spec(5, [0, 3, 12, 20, 24]), spike_spec(5, [0, 3, 5, 6, 28])
     ma, mb = spike_from_spec(a), spike_from_spec(b)
-    assert _invariant_key(ma) == _invariant_key(mb)
+    assert ma._invariant() == mb._invariant()
     assert not ma.is_isomorphic(mb) and not mb.is_isomorphic(ma)
     assert not glance_isomorphic(a, b)
 
@@ -1076,7 +1075,7 @@ def test_strata_rows_bounds():
 
 
 def test_strata_rows_size_cap():
-    # rows reach t = n // 2, and trun cell vectors are uint8
+    # the seed's limit at k <= 2; rows reach t = n // 2
     n = 511
     two = [row for row in strata_rows(n, 2) if row.category == "A" and row.m == 2]
     # two picks at total t leave t - 1 orbits

@@ -273,6 +273,17 @@ def test_sp_census_size_cap(capsys):
         (["sk", "census", "--n", "18", "--k", "6", "--mode", "strata"], "TooLarge"),
         # the last row is past the cap: refused before the first is built
         (["gamma", "sk", "--k", "6", "--t", "6..9"], "TooLarge"),
+        (["sk", "exminors", "--t", "851", "--k", "3"], "TooLarge"),
+        (["sk", "exminors", "--t", "24", "--k", "4"], "TooLarge"),
+        (["sk", "exminors", "--t", "18", "--k", "5"], "TooLarge"),
+        (["sk", "exminors", "--t", "18", "--k", "6"], "TooLarge"),
+        (["sk", "exminors", "--t", "18", "--k", "7"], "TooLarge"),
+        (["gamma", "sk", "--k", "3", "--t", "6..156"], "TooLarge"),
+        (["gamma", "sk", "--k", "4", "--t", "6..23"], "TooLarge"),
+        (["slope", "--source", "eqn1", "--k", "10", "--range", "60..300"], "TooLarge"),
+        (["slope", "--source", "eqn1", "--k", "3", "--range", "60..1001"], "TooLarge"),
+        (["slope", "--source", "eqn2", "--k", "11", "--range", "50..200"], "TooLarge"),
+        (["slope", "--source", "eqn2", "--k", "5", "--range", "50..1001"], "TooLarge"),
     ],
 )
 def test_measured_caps_refuse_the_next_size_at_once(argv, error, capsys):

@@ -337,8 +337,7 @@ def test_exchange_gate_matches_scan_exhaustively():
 
 def _assert_degrees_match_loops(m: Matroid) -> None:
     deg, pair = _loop_degrees(m)
-    assert m.basis_degrees() == deg
-    assert all(type(d) is int for d in m.basis_degrees())
+    assert tuple(np.diagonal(m._gram()).tolist()) == deg
     gram = m._gram().tolist()
     for e in range(m.n):
         gram[e][e] = 0
@@ -376,6 +375,69 @@ def test_profiles_are_cached():
     m = uniform(2, 5)
     assert m._profiles() is m._profiles()
     assert m._profiles() == [(4, (1, 1, 1, 1))] * 5
+
+
+def _loop_invariant(m: Matroid) -> tuple:
+    # rank, basis count and the sorted (degree, sorted pair degrees) per element
+    deg, pair = _loop_degrees(m)
+    profiles = [
+        (deg[e], tuple(sorted(pair[e][f] for f in range(m.n) if f != e)))
+        for e in range(m.n)
+    ]
+    return (m.r, len(m.bases), tuple(sorted(profiles)))
+
+
+def test_invariant_splits_no_isomorphism_class():
+    # pairs that (n, r, basis count) cannot tell apart: whenever their
+    # invariants differ, the unpruned scan must find no map between them
+    groups: dict[tuple, list[Matroid]] = {}
+    for m in _small_matroids():
+        assert m._invariant() == _loop_invariant(m)
+        groups.setdefault((m.n, m.r, len(m.bases)), []).append(m)
+    split = 0
+    for group in groups.values():
+        for m1, m2 in itertools.combinations(group, 2):
+            if m1._invariant() != m2._invariant():
+                assert not _perm_scan(m1, m2)
+                split += 1
+    assert split > 0
+
+
+def test_subset_oracles_are_fresh_on_every_call():
+    m = _sp_matroid(6, 3, [(0, 1, 2), (3, 4, 5)])
+    assert m.circuits() == m.circuits()
+    assert m.hyperplanes() == m.hyperplanes()
+    flats = m.cyclic_flats()
+    want = list(flats)
+    flats.clear()
+    assert m.cyclic_flats() == want and want
+
+
+def test_cache_holds_only_reread_facts():
+    m = _sp_matroid(6, 3, [(0, 1, 2), (3, 4, 5)])
+    other = _sp_matroid(6, 3, [(0, 1, 3), (2, 4, 5)])
+    calls = {
+        "basis_array": lambda: m.basis_array,
+        "bases": lambda: m.bases,
+        "full_mask": lambda: m.full_mask,
+        "rank_of": lambda: m.rank_of(0b111),
+        "circuits": m.circuits,
+        "hyperplanes": m.hyperplanes,
+        "circuit_hyperplanes": m.circuit_hyperplanes,
+        "cyclic_flats": m.cyclic_flats,
+        "minor": lambda: m.minor(0b1, 0b10),
+        "delete": lambda: m.delete(0),
+        "contract": lambda: m.contract(0),
+        "dual": m.dual,
+        "components": m.components,
+        "is_isomorphic": lambda: m.is_isomorphic(other),
+        "is_sparse_paving": m.is_sparse_paving,
+    }
+    public = {name for name in dir(Matroid) if not name.startswith("_")}
+    assert public - {"n", "r"} == set(calls)
+    for call in calls.values():
+        call()
+    assert set(m._cache) <= {"tab", "gram", "profiles"}
 
 
 def test_make_matroid_keeps_rank_table():
