@@ -19,6 +19,7 @@ lifts, and the composition-driven excluded-minor generator.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby
@@ -45,7 +46,7 @@ from .sparsepaving import (
     TooSmall,
     _allocate,
     _cells,
-    _composition_count,
+    _composition_counts,
     _compositions,
     _grow,
     _lexmin_classes,
@@ -353,12 +354,12 @@ def _parse_pick(t: int, value) -> int:
     if isinstance(value, str):
         if len(value) != t or set(value) - {"0", "1"}:
             raise OutOfRange(f"pick string {value!r} is not {t} binary digits")
-        return sum(1 << i for i, ch in enumerate(value) if ch == "1")
+        return int(value[::-1] or "0", 2)
     return int(value)
 
 
 def pick_string(t: int, pick: int) -> str:
-    return "".join("1" if pick >> i & 1 else "0" for i in range(t))
+    return format(pick, f"0{t}b")[::-1][:t]
 
 
 def spike_spec(t: int, picks: Iterable) -> SpikeSpec:
@@ -704,53 +705,42 @@ def check_strata_size(n: int, k: int) -> None:
 def strata_rows(n: int, k: int) -> list[StratumRow]:
     """Stratified upper-bound census rows at any size.
 
-    Category rows are parameter counts; the doubled-cycle stratum counts
-    (loops, thins, canonical orbit) keys per rank and member count.
-    Overlaps between categories are deliberately not subtracted, so the
-    total over-counts the exact census.
+    Category rows are parameter counts, each a closed-form sum.  A
+    doubled-cycle lift with t pairs, s thins and n - 2t - s >= 0 loops has
+    rank r = t + s, so rank r takes every t <= min(r, n - r): its count at
+    m picks is a running sum over t of the canonical trun orbit counts.
+    The graphic cycle shapes of rank r = t + s - 1 number
+    min(r + 1, n - r - 1) + 1.  Overlaps between categories are
+    deliberately not subtracted, so the total over-counts the exact census.
     """
     check_strata_size(n, k)
-    rows = []
-    # doubled-cycle lifts keyed by (rank, members, loops, thins, orbit)
+    # below[t][m]: orbits at m picks summed over totals 0..t
+    below, run = [], [0] * (k + 1)
+    for t in range(n // 2 + 1):
+        run = [a + b for a, b in zip(run, _orbit_counts(t, k))]
+        below.append(run)
+    counts: Counter[tuple[str, int, int]] = Counter()
     for r in range(3, n + 1):
-        for m in range(k + 1):
-            count = 0
-            for s in range(max(0, 2 * r - n), r + 1):
-                count += _orbit_counts(r - s, k)[m]
+        for m, count in enumerate(below[min(r, n - r)]):
             if count:
-                rows.append(StratumRow(n, k, "A", r, m, count, "upper"))
+                counts["A", r, m] = count
     if n >= 1:
-        two_counts: dict[int, int] = {}
         for j in range(1, min(4, n) + 1):
             for b in range(min(k, j // 2) + 1):
                 balanced = n == j and (j == 1 or (j == 2 and b == 1))
-                r = 1 if balanced else 2
-                two_counts[r] = two_counts.get(r, 0) + 1
-        for r in sorted(two_counts):
-            rows.append(StratumRow(n, k, "B", r, 0, two_counts[r], "upper"))
-        one_counts: dict[int, int] = {}
+                counts["B", 1 if balanced else 2, 0] += 1
         for b in range(min(k, 1) + 1):
-            r = 0 if n == 1 and b == 1 else 1
-            one_counts[r] = one_counts.get(r, 0) + 1
-        for r in sorted(one_counts):
-            rows.append(StratumRow(n, k, "C", r, 0, one_counts[r], "exact"))
-        rows.append(StratumRow(n, k, "D", 0, 0, 1, "exact"))
-        rows.append(StratumRow(n, k, "D", 1, 0, min(4, n), "exact"))
-        graphic: dict[int, int] = {}
-        for t, s, p in _cycle_shapes(n):
-            r = t + s - 1
-            graphic[r] = graphic.get(r, 0) + 1
-        for r in sorted(graphic):
-            rows.append(StratumRow(n, k, "D", r, 0, graphic[r], "exact"))
-        rows.append(StratumRow(n, k, "E", n, 0, 1, "exact"))
-        rows.append(StratumRow(n, k, "E", n - 1, 0, min(4, n), "exact"))
-        for r in sorted(graphic):
-            rows.append(StratumRow(n, k, "E", n - r, 0, graphic[r], "exact"))
+            counts["C", 0 if n == 1 and b == 1 else 1, 0] += 1
+        counts["D", 0, 0] = counts["E", n, 0] = 1
+        counts["D", 1, 0] = counts["E", n - 1, 0] = min(4, n)
+        for r in range(2, n):
+            counts["D", r, 0] = counts["E", n - r, 0] = min(r + 1, n - r - 1) + 1
     for r in range(n + 1):
-        rows.append(StratumRow(n, k, "F", r, 0, min(r, n - r) + 1, "exact"))
-    order = {tag: i for i, tag in enumerate("ABCDEF")}
-    rows.sort(key=lambda row: (order[row.category], row.r, row.m))
-    return rows
+        counts["F", r, 0] = min(r, n - r) + 1
+    return [
+        StratumRow(n, k, tag, r, m, count, "upper" if tag in "AB" else "exact")
+        for (tag, r, m), count in sorted(counts.items())
+    ]
 
 
 def census_sk_strata(n: int, k: int) -> list[StratumRow]:
@@ -799,9 +789,16 @@ def bottom_solutions(t: int, k: int) -> Iterator[CompositionSolution]:
         yield CompositionSolution(sets, values)
 
 
+def bottom_solution_counts(half_sizes: range, k: int) -> list[int]:
+    """Solution counts at consecutive half-sizes, read off one coin-style DP
+    row."""
+    low = _bottom_equation(half_sizes[0], k)[1]
+    sets, top = _bottom_equation(half_sizes[-1], k)
+    return _composition_counts((1,) * len(sets), top)[low:]
+
+
 def bottom_solution_count(t: int, k: int) -> int:
-    sets, target = _bottom_equation(t, k)
-    return _composition_count((1,) * len(sets), target)
+    return bottom_solution_counts(range(t, t + 1), k)[0]
 
 
 def bottom_construct(phi: CompositionSolution, t: int, k: int) -> SpikeSpec:
@@ -891,7 +888,7 @@ def sk_excluded_minor_classes(t: int, k: int) -> list[SpikeSpec]:
 
 def ggraph_to_json(g: GGraph) -> str:
     doc = {"kind": g.kind, "t": g.t, "s": g.s, "p": g.p}
-    return json.dumps(doc, separators=(", ", ": ")) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def ggraph_from_json(text: str) -> GGraph:
@@ -906,7 +903,7 @@ def ggraph_from_json(text: str) -> GGraph:
 def spikespec_to_json(spec: SpikeSpec) -> str:
     strings = sorted(pick_string(spec.t, p) for p in spec.picks)
     doc = {"t": spec.t, "picks": strings}
-    return json.dumps(doc, separators=(", ", ": ")) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def spikespec_from_json(text: str) -> SpikeSpec:

@@ -23,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .biasedlift import (
     TooLarge,
-    bottom_solution_count,
+    bottom_solution_counts,
     census_sk_exact,
     census_sk_strata,
     sk_excluded_minor_classes,
@@ -42,7 +42,7 @@ from .sparsepaving import (
     census_csv,
     census_pk,
     chfamily_to_json,
-    collar_solution_count,
+    collar_solution_counts,
     sp_excluded_minors,
 )
 
@@ -116,7 +116,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _print_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, separators=(", ", ": ")) + "\n")
+    sys.stdout.write(json.dumps(doc) + "\n")
 
 
 # -- handlers -------------------------------------------------------------------
@@ -155,7 +155,7 @@ def _run_sp_census(args) -> int:
 
 def _run_sp_exminors(args) -> int:
     docs = [json.loads(chfamily_to_json(f)) for f in sp_excluded_minors(args.n, args.k)]
-    _emit(json.dumps(docs, separators=(", ", ": ")) + "\n", args.out)
+    _emit(json.dumps(docs) + "\n", args.out)
     return 0
 
 
@@ -168,7 +168,7 @@ def _run_spike_build(args) -> int:
     spec = spike_spec(args.t, args.picks)
     doc = json.loads(spikespec_to_json(spec))
     doc.update(json.loads(matroid_to_json(spike_from_spec(spec))))
-    _emit(json.dumps(doc, separators=(", ", ": ")) + "\n", args.out)
+    _emit(json.dumps(doc) + "\n", args.out)
     return 0
 
 
@@ -193,7 +193,7 @@ def _run_sk_census(args) -> int:
 def _run_sk_exminors(args) -> int:
     specs = sk_excluded_minor_classes(args.t, args.k)
     docs = [json.loads(spikespec_to_json(spec)) for spec in specs]
-    _emit(json.dumps(docs, separators=(", ", ": ")) + "\n", args.out)
+    _emit(json.dumps(docs) + "\n", args.out)
     return 0
 
 
@@ -219,9 +219,10 @@ def _run_slope(args) -> int:
             f"{args.source} series capped at k = {k_cap} and size {top_cap}"
         )
     if args.source == "eqn1":
-        series = [(n, collar_solution_count(n, args.k)) for n in args.range]
+        counts = collar_solution_counts(args.range, args.k)
     else:
-        series = [(t, bottom_solution_count(t, args.k)) for t in args.range]
+        counts = bottom_solution_counts(args.range, args.k)
+    series = list(zip(args.range, counts))
     window = None
     if args.window is not None:
         window = (args.window.start, args.window.stop - 1)
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except (MatroidError, BadThreadCount) as exc:
         doc = {"error": type(exc).__name__, "detail": str(exc)}
-        sys.stderr.write(json.dumps(doc, separators=(", ", ": ")) + "\n")
+        sys.stderr.write(json.dumps(doc) + "\n")
         return 1
 
 

@@ -569,7 +569,7 @@ def matroid_to_json(m: Matroid) -> str:
     """Interchange form: sorted element lists, bases in lexicographic order."""
     rows = sorted(list(elements_of(b)) for b in m.bases)
     doc = {"n": m.n, "rank": m.r, "bases": rows}
-    return json.dumps(doc, separators=(", ", ": ")) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def matroid_from_json(text: str) -> Matroid:

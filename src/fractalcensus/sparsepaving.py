@@ -326,7 +326,7 @@ def realize_signature(psi: VennSignature) -> CHFamily | None:
 
 def count_signatures(k: int, n: int) -> int:
     """Number of k-index cell vectors with total n: unit-weight compositions."""
-    return _composition_count((1,) * (1 << k), n)
+    return _composition_counts((1,) * (1 << k), n)[n]
 
 
 def _grow(first, top, tabs, bounds, keep) -> list[list[tuple[int, ...]]]:
@@ -449,15 +449,16 @@ def _compositions(weights: tuple[int, ...], target: int) -> Iterator[tuple[int, 
         yield ()
 
 
-def _composition_count(weights: tuple[int, ...], target: int) -> int:
-    """Number of _compositions(weights, target), by coin-style DP."""
-    if target < 0:
-        raise OutOfRange(f"negative composition total {target}")
-    row = [1] + [0] * target
+def _composition_counts(weights: tuple[int, ...], top: int) -> list[int]:
+    """Entry t is the number of _compositions(weights, t), for t = 0..top:
+    the row of one coin-style DP."""
+    if top < 0:
+        raise OutOfRange(f"negative composition total {top}")
+    row = [1] + [0] * top
     for w in weights:
-        for total in range(w, target + 1):
+        for total in range(w, top + 1):
             row[total] += row[total - w]
-    return row[target]
+    return row
 
 
 def collar_index_sets(k: int) -> tuple[int, ...]:
@@ -489,10 +490,17 @@ def collar_solutions(n: int, k: int) -> Iterator[CompositionSolution]:
         yield CompositionSolution(index_sets, values)
 
 
+def collar_solution_counts(sizes: range, k: int) -> list[int]:
+    """Solution counts at consecutive sizes, read off one coin-style DP row
+    over the variable weights."""
+    low = _collar_equation(sizes[0], k)[2]
+    _, weights, top = _collar_equation(sizes[-1], k)
+    return _composition_counts(weights, top)[low:]
+
+
 def collar_solution_count(n: int, k: int) -> int:
     """Solution count by coin-style DP over the variable weights."""
-    _, weights, target = _collar_equation(n, k)
-    return _composition_count(weights, target)
+    return collar_solution_counts(range(n, n + 1), k)[0]
 
 
 def collar_construct(phi: CompositionSolution, n: int, k: int) -> CHFamily:
@@ -574,7 +582,7 @@ def chfamily_to_json(f: CHFamily) -> str:
         "rank": f.r,
         "chs": [[e for e in bits(c)] for c in f.chs],
     }
-    return json.dumps(doc, separators=(", ", ": ")) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def chfamily_from_json(text: str) -> CHFamily:

@@ -40,11 +40,13 @@ from fractalcensus.biasedlift import (
     _ham_mask,
     _orbit_counts,
     _pair_mask,
+    _parse_pick,
     _trun_levels,
     _trun_perm_maps,
     bottom_construct,
     bottom_index_sets,
     bottom_solution_count,
+    bottom_solution_counts,
     bottom_solutions,
     camera_fixtures,
     categorize,
@@ -92,8 +94,13 @@ from fractalcensus.kernel import (
 from fractalcensus.sparsepaving import (
     NotASolution,
     TooSmall,
+    _composition_counts,
     _lexmin_classes,
     _perm_cell_maps,
+    collar_index_sets,
+    collar_solution_count,
+    collar_solution_counts,
+    collar_solutions,
 )
 
 
@@ -1101,6 +1108,65 @@ def test_census_strata_bounds_exact():
         assert exact <= est <= exact * 1.15
 
 
+def _strata_oracle(n, k):
+    """strata_rows as a walk over every cycle shape and thin count."""
+    rows = []
+    for r in range(3, n + 1):
+        for m in range(k + 1):
+            count = 0
+            for s in range(max(0, 2 * r - n), r + 1):
+                count += _orbit_counts(r - s, k)[m]
+            if count:
+                rows.append(StratumRow(n, k, "A", r, m, count, "upper"))
+    if n >= 1:
+        two_counts = {}
+        for j in range(1, min(4, n) + 1):
+            for b in range(min(k, j // 2) + 1):
+                balanced = n == j and (j == 1 or (j == 2 and b == 1))
+                r = 1 if balanced else 2
+                two_counts[r] = two_counts.get(r, 0) + 1
+        for r in sorted(two_counts):
+            rows.append(StratumRow(n, k, "B", r, 0, two_counts[r], "upper"))
+        one_counts = {}
+        for b in range(min(k, 1) + 1):
+            r = 0 if n == 1 and b == 1 else 1
+            one_counts[r] = one_counts.get(r, 0) + 1
+        for r in sorted(one_counts):
+            rows.append(StratumRow(n, k, "C", r, 0, one_counts[r], "exact"))
+        rows.append(StratumRow(n, k, "D", 0, 0, 1, "exact"))
+        rows.append(StratumRow(n, k, "D", 1, 0, min(4, n), "exact"))
+        graphic = {}
+        for t, s, p in _cycle_shapes(n):
+            r = t + s - 1
+            graphic[r] = graphic.get(r, 0) + 1
+        for r in sorted(graphic):
+            rows.append(StratumRow(n, k, "D", r, 0, graphic[r], "exact"))
+        rows.append(StratumRow(n, k, "E", n, 0, 1, "exact"))
+        rows.append(StratumRow(n, k, "E", n - 1, 0, min(4, n), "exact"))
+        for r in sorted(graphic):
+            rows.append(StratumRow(n, k, "E", n - r, 0, graphic[r], "exact"))
+    for r in range(n + 1):
+        rows.append(StratumRow(n, k, "F", r, 0, min(r, n - r) + 1, "exact"))
+    order = {tag: i for i, tag in enumerate("ABCDEF")}
+    rows.sort(key=lambda row: (order[row.category], row.r, row.m))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "k, top", [(0, 90), (1, 90), (2, 90), (3, 90), (4, 40), (5, 20), (6, 14)]
+)
+def test_strata_rows_match_the_shape_walk(k, top):
+    # every size from 0, odd and even, so the n >= 1 rows and both ends of
+    # the rank ranges are covered
+    for n in range(top + 1):
+        assert strata_csv(strata_rows(n, k)) == strata_csv(_strata_oracle(n, k))
+
+
+@pytest.mark.parametrize("n, k", [(510, 2), (511, 1)])
+def test_strata_rows_match_the_shape_walk_at_the_seed_limit(n, k):
+    assert strata_csv(strata_rows(n, k)) == strata_csv(_strata_oracle(n, k))
+
+
 # -- excluded-minor generation --------------------------------------------------------
 
 
@@ -1111,6 +1177,48 @@ def test_bottom_index_sets():
     assert len(bottom_index_sets(5)) == 2 ** 5 - 5 - 2
     with pytest.raises(TooSmall):
         bottom_index_sets(1)
+
+
+def test_pick_strings_round_trip():
+    rng = random.Random(19)
+    for t in range(71):
+        for pick in {0, (1 << t) - 1, rng.getrandbits(t)}:
+            text = pick_string(t, pick)
+            # character i is pair i's side
+            assert text == "".join(str(pick >> i & 1) for i in range(t))
+            assert _parse_pick(t, text) == pick
+    assert pick_string(0, 0) == "" and _parse_pick(0, "") == 0
+    for t, text in [(3, "01"), (3, "012"), (3, "1_0"), (3, " 10")]:
+        with pytest.raises(OutOfRange):
+            _parse_pick(t, text)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_slope_series_equal_per_point_counts(k):
+    # slope reads one DP row per run; each point is its own DP here
+    least = 2 * (k + 1)
+    sizes = range(least, least + 60)
+    weights = tuple(k + 2 - mask.bit_count() for mask in collar_index_sets(k))
+    series = collar_solution_counts(sizes, k)
+    assert series == [_composition_counts(weights, n - least)[-1] for n in sizes]
+    assert series == [collar_solution_count(n, k) for n in sizes]
+    # no variable has weight 1, so eqn1 has no solution at n = 2k + 3
+    assert series[1] == 0
+    if k <= 3:
+        assert series[:8] == [len(list(collar_solutions(n, k))) for n in sizes[:8]]
+    assert collar_solution_counts(sizes[5:9], k) == series[5:9]
+    with pytest.raises(TooSmall):
+        collar_solution_counts(range(least - 1, least + 9), k)
+    if k >= 2:
+        nvars = len(bottom_index_sets(k))
+        series = bottom_solution_counts(sizes, k)
+        assert series == [
+            _composition_counts((1,) * nvars, t - least)[-1] for t in sizes
+        ]
+        assert series == [bottom_solution_count(t, k) for t in sizes]
+        assert bottom_solution_counts(sizes[5:9], k) == series[5:9]
+        with pytest.raises(TooSmall):
+            bottom_solution_counts(range(least - 1, least + 9), k)
 
 
 def test_bottom_solution_counts():

@@ -196,6 +196,14 @@ def test_slope_json(capsys):
     assert doc["window"] == [60, 120]
 
 
+def test_slope_zero_count_is_degenerate_at_once(capsys):
+    # eqn1 has no solution at n = 2k + 3, and the series is one DP row
+    start = time.perf_counter()
+    argv = ["slope", "--source", "eqn1", "--k", "9", "--range", "20..1000"]
+    assert _exit_one(argv, capsys) == "DegenerateSeries"
+    assert time.perf_counter() - start < 5
+
+
 def test_out_writes_file(tmp_path):
     out = tmp_path / "census.csv"
     assert main(["sp", "census", "--n", "6", "--k", "1", "--out", str(out)]) == 0

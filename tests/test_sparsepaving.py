@@ -39,7 +39,7 @@ from fractalcensus.sparsepaving import (
     WrongCardinality,
     _allocate,
     _cells,
-    _composition_count,
+    _composition_counts,
     _compositions,
     _family_levels,
     _lexmin_classes,
@@ -830,14 +830,16 @@ def test_compositions_match_product_brute_force(weights):
             if sum(w * v for w, v in zip(weights, values)) == target
         ]
         assert list(_compositions(weights, target)) == brute
-        assert _composition_count(weights, target) == len(brute)
+        assert _composition_counts(weights, target)[target] == len(brute)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5, 8])
 def test_unit_composition_count_closed_form(nvars):
+    # one row holds every total up to its top
+    row = _composition_counts((1,) * nvars, 15)
     for target in range(0, 16):
-        want = comb(target + nvars - 1, nvars - 1)
-        assert _composition_count((1,) * nvars, target) == want
+        assert row[target] == comb(target + nvars - 1, nvars - 1)
+        assert _composition_counts((1,) * nvars, target) == row[: target + 1]
 
 
 def test_negative_totals_and_bounds_rejected():
