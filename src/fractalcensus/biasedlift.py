@@ -29,14 +29,17 @@ import numpy as np
 
 from .bitset import _subset_sizes, subset_index
 from .kernel import (
+    INT,
     MAX_GROUND,
-    MalformedDocument,
+    PICKS,
+    STR,
     Matroid,
     MatroidError,
     OutOfRange,
     RankedFlat,
     direct_sum,
     is_excluded_minor,
+    read_document,
     relabel,
     uniform,
 )
@@ -355,7 +358,7 @@ def _parse_pick(t: int, value) -> int:
         if len(value) != t or set(value) - {"0", "1"}:
             raise OutOfRange(f"pick string {value!r} is not {t} binary digits")
         return int(value[::-1] or "0", 2)
-    return int(value)
+    return value
 
 
 def pick_string(t: int, pick: int) -> str:
@@ -892,12 +895,8 @@ def ggraph_to_json(g: GGraph) -> str:
 
 
 def ggraph_from_json(text: str) -> GGraph:
-    try:
-        doc = json.loads(text)
-        parts = str(doc["kind"]), int(doc["t"]), int(doc["s"]), int(doc["p"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"not a graph document: {exc}") from exc
-    return ggraph(*parts)
+    doc = read_document(text, "graph", {"kind": STR, "t": INT, "s": INT, "p": INT})
+    return ggraph(doc["kind"], doc["t"], doc["s"], doc["p"])
 
 
 def spikespec_to_json(spec: SpikeSpec) -> str:
@@ -907,9 +906,5 @@ def spikespec_to_json(spec: SpikeSpec) -> str:
 
 
 def spikespec_from_json(text: str) -> SpikeSpec:
-    try:
-        doc = json.loads(text)
-        t, picks = int(doc["t"]), list(doc["picks"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"not a spike document: {exc}") from exc
-    return spike_spec(t, picks)
+    doc = read_document(text, "spike", {"t": INT, "picks": PICKS})
+    return spike_spec(doc["t"], doc["picks"])

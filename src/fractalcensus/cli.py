@@ -36,7 +36,8 @@ from .biasedlift import (
     verify_sk_excluded_minor,
 )
 from .gamma import gamma_csv, gamma_pk_table, gamma_sk_table, slope_fit
-from .kernel import MatroidError, OutOfRange, matroid_from_json, matroid_to_json
+from .bitset import mask_from
+from .kernel import MatroidError, check_elements, matroid_from_json, matroid_to_json
 from .parallel import BadThreadCount
 from .sparsepaving import (
     census_csv,
@@ -79,19 +80,12 @@ class UnwritableFile(MatroidError):
 
 
 def _element_mask(text: str, n: int) -> int:
-    mask = 0
-    if text:
-        for part in text.split(","):
-            try:
-                e = int(part)
-            except ValueError:
-                raise BadElementList(
-                    f"expected comma-separated elements, got {text!r}"
-                ) from None
-            if not 0 <= e < n:
-                raise OutOfRange(f"element {e} outside ground set of size {n}")
-            mask |= 1 << e
-    return mask
+    try:
+        elements = [int(part) for part in text.split(",")] if text else []
+    except ValueError:
+        raise BadElementList(f"expected comma-separated elements, got {text!r}")
+    check_elements(elements, n)
+    return mask_from(elements)
 
 
 def _read(path: str) -> str:
@@ -207,9 +201,9 @@ def _run_gamma_sk(args) -> int:
     return 0
 
 
-# per source, the largest k and range top measured to finish in 60 s and
-# 1 GB together, over a range from the smallest size (README "Size caps")
-_SLOPE_CAPS = {"eqn1": (9, 1000), "eqn2": (10, 1000)}
+# per source, the largest k measured to finish a range to the top size in
+# 60 s and 1 GB, over a range from the smallest size (README "Size caps")
+_SLOPE_CAPS = {"eqn1": (17, 1000), "eqn2": (17, 1000)}
 
 
 def _run_slope(args) -> int:

@@ -572,28 +572,61 @@ def matroid_to_json(m: Matroid) -> str:
     return json.dumps(doc) + "\n"
 
 
-def matroid_from_json(text: str) -> Matroid:
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON true or false decodes to bool, an int subclass
+
+
+# the shapes of document fields, named as their error details name them
+INT, STR = "an integer", "a string"
+ROWS, PICKS = "a list of integer lists", "a list of integers and strings"
+_SHAPES = {
+    INT: _is_int,
+    STR: lambda v: type(v) is str,
+    ROWS: lambda v: type(v) is list
+    and all(type(row) is list and all(map(_is_int, row)) for row in v),
+    PICKS: lambda v: type(v) is list and all(_is_int(p) or type(p) is str for p in v),
+}
+
+
+def read_document(text: str, kind: str, fields: dict[str, str]) -> dict:
+    """The JSON object in ``text``, each field shape-checked, none coerced."""
     try:
         doc = json.loads(text)
-        n = int(doc["n"])
-        rank = int(doc["rank"])
-        rows = [[int(e) for e in row] for row in doc["bases"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"not a matroid document: {exc}") from exc
-    # range checks come before any shift, so a huge index costs nothing
-    if n < 0 or n > MAX_GROUND:
-        raise SizeOverflow(f"ground set size {n} outside [0, {MAX_GROUND}]")
-    for row in rows:
-        for e in row:
-            if not 0 <= e < n:
-                raise OutOfRange(f"element {e} outside ground set of size {n}")
+    except (ValueError, RecursionError) as exc:  # syntax, digit limit, depth
+        raise MalformedDocument(f"not a {kind} document: {exc}") from exc
+    if type(doc) is not dict:
+        raise MalformedDocument(f"not a {kind} document: not a JSON object")
+    for key, shape in fields.items():
+        if key not in doc:
+            raise MalformedDocument(f"not a {kind} document: {key!r}")
+        if not _SHAPES[shape](doc[key]):
+            raise MalformedDocument(f"not a {kind} document: {key!r} is not {shape}")
+    return doc
+
+
+def check_elements(elements: Iterable[int], n: int) -> None:
+    """Range check, run before any ``1 << e`` so a huge index costs nothing."""
+    for e in elements:
+        if not 0 <= e < n:
+            raise OutOfRange(f"element {e} outside ground set of size {n}")
+
+
+def element_masks(rows: list[list[int]], n: int, what: str) -> list[int]:
+    """Row masks once every element passed the range check; no repeats."""
+    check_elements((e for row in rows for e in row), n)
     masks = [mask_from(row) for row in rows]
     for row, mask in zip(rows, masks):
         if mask.bit_count() != len(row):
-            raise MalformedDocument(f"basis row {row} repeats an element")
-    m = make_matroid(n, masks)
+            raise MalformedDocument(f"{what} {row} repeats an element")
+    return masks
+
+
+def matroid_from_json(text: str) -> Matroid:
+    doc = read_document(text, "matroid", {"n": INT, "rank": INT, "bases": ROWS})
+    n, rank = doc["n"], doc["rank"]
+    if n < 0 or n > MAX_GROUND:
+        raise SizeOverflow(f"ground set size {n} outside [0, {MAX_GROUND}]")
+    m = make_matroid(n, element_masks(doc["bases"], n, "basis row"))
     if m.r != rank:
-        raise RankOutOfRange(
-            f"declared rank {rank} disagrees with basis size {m.r}"
-        )
+        raise RankOutOfRange(f"declared rank {rank} disagrees with basis size {m.r}")
     return m

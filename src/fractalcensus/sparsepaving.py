@@ -27,16 +27,19 @@ from typing import Iterator
 
 import numpy as np
 
-from .bitset import bits, mask_from, subset_index
+from .bitset import bits, subset_index
 from .kernel import (
+    INT,
     MAX_GROUND,
-    MalformedDocument,
+    ROWS,
     Matroid,
     MatroidError,
     OutOfRange,
     RankOutOfRange,
     SizeOverflow,
+    element_masks,
     is_excluded_minor,
+    read_document,
 )
 from .parallel import run_sharded
 
@@ -529,15 +532,10 @@ def pk_member(m: Matroid, k: int) -> bool:
     return m.is_sparse_paving() and len(m.circuit_hyperplanes()) <= k
 
 
-def check_exminor_bound(k: int) -> None:
-    """Raise unless the excluded-minor sweep supports the bound k."""
-    if not 1 <= k <= 4:
-        raise BoundTooLarge("excluded-minor sweep needs 1 <= k <= 4")
-
-
 def exminor_shards(n: int, k: int) -> list[tuple[int, int, int]]:
     """Independent (n, k, r) work units for the excluded-minor sweep."""
-    check_exminor_bound(k)
+    if not 1 <= k <= 4:
+        raise BoundTooLarge("excluded-minor sweep needs 1 <= k <= 4")
     if n < 0:
         raise OutOfRange(f"negative size {n}")
     if n > 16:
@@ -586,14 +584,6 @@ def chfamily_to_json(f: CHFamily) -> str:
 
 
 def chfamily_from_json(text: str) -> CHFamily:
-    try:
-        doc = json.loads(text)
-        n, r = int(doc["n"]), int(doc["rank"])
-        rows = [[int(e) for e in row] for row in doc["chs"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"not a family document: {exc}") from exc
-    for row in rows:
-        for e in row:
-            if not 0 <= e < n:
-                raise OutOfRange(f"element {e} outside ground set of size {n}")
-    return chfamily(n, r, (mask_from(row) for row in rows))
+    doc = read_document(text, "family", {"n": INT, "rank": INT, "chs": ROWS})
+    n = doc["n"]
+    return chfamily(n, doc["rank"], element_masks(doc["chs"], n, "member"))

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fractalcensus
+from _documents import misfits_read
 from fractalcensus.biasedlift import (
     CYCLE,
     SINGLE,
@@ -1329,3 +1330,26 @@ def test_document_parsers_reject_malformed():
         spikespec_from_json("not json")
     with pytest.raises(MalformedDocument):
         ggraph_from_json('{"kind": "cycle", "t": 3}')
+
+
+def test_graph_reader_refuses_wrong_json_types():
+    doc = json.loads(ggraph_to_json(ggraph(CYCLE, 2, 1, 3)))
+    positions = {("kind",): (str,), ("t",): (int,), ("s",): (int,), ("p",): (int,)}
+    assert misfits_read(ggraph_from_json, doc, positions) == []
+    with pytest.raises(MalformedDocument):
+        ggraph_from_json('{"kind": ["cycle"], "t": 2, "s": 1, "p": 3}')
+
+
+def test_spike_reader_takes_binary_strings_and_json_integers():
+    doc = {"t": 4, "picks": ["0000", 0b0011]}
+    assert spikespec_from_json(json.dumps(doc)) == spike_spec(4, ["0000", "1100"])
+    positions = {("t",): (int,), ("picks",): (list,), ("picks", 1): (int, str)}
+    assert misfits_read(spikespec_from_json, doc, positions) == []
+    for text in (
+        '{"t": 4, "picks": [null]}',
+        '{"t": 4.7, "picks": [3.9, "0000"]}',
+        '{"t": 4, "picks": "0011"}',
+        '{"t": 4, "picks": [[1], "0000"]}',
+    ):
+        with pytest.raises(MalformedDocument):
+            spikespec_from_json(text)

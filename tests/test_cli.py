@@ -14,8 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 import fractalcensus
 from fractalcensus.cli import main
-from fractalcensus.kernel import matroid_from_json, matroid_to_json, uniform
-from fractalcensus.biasedlift import spike
+from fractalcensus.kernel import (
+    MatroidError,
+    matroid_from_json,
+    matroid_to_json,
+    uniform,
+)
+from fractalcensus.biasedlift import spike, spikespec_from_json
+from fractalcensus.sparsepaving import chfamily_from_json
 
 
 @pytest.fixture
@@ -117,6 +123,30 @@ def _exit_one(argv, capsys) -> str:
     assert captured.out == ""
     assert "Traceback" not in captured.err
     return json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("spike verify --k 2", '{"t": 4, "picks": [null]}'),
+        ("spike verify --k 2", '{"t": 4.7, "picks": [3.9, "0000"]}'),
+        ("spike verify --k 2", '{"t": 4, "picks": "0011"}'),
+        ("spike verify --k 2", '{"t": 4, "picks": [[1], "0000"]}'),
+        ("matroid validate", '{"n": 3.5, "rank": 1, "bases": [[0.9], [true], [2]]}'),
+        ("matroid validate", '{"n": 3, "rank": 1, "bases": ["0", "1", "2"]}'),
+        ("matroid dual", '{"n": true, "rank": 1, "bases": [[0]]}'),
+        ("matroid validate", "[" * 100_000),
+    ],
+)
+def test_documents_of_the_wrong_json_type_exit_cleanly(
+    command, text, threads, tmp_path, capsys
+):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [*command.split(), "--file", str(path)]
+    with mock.patch.dict(os.environ, {"FRACTAL_THREADS": threads}):
+        assert _exit_one(argv, capsys) == "MalformedDocument"
 
 
 def test_bad_element_lists_exit_cleanly(u24_file, capsys):
@@ -288,10 +318,10 @@ def test_sp_census_size_cap(capsys):
         (["sk", "exminors", "--t", "18", "--k", "7"], "TooLarge"),
         (["gamma", "sk", "--k", "3", "--t", "6..156"], "TooLarge"),
         (["gamma", "sk", "--k", "4", "--t", "6..23"], "TooLarge"),
-        (["slope", "--source", "eqn1", "--k", "10", "--range", "60..300"], "TooLarge"),
-        (["slope", "--source", "eqn1", "--k", "3", "--range", "60..1001"], "TooLarge"),
-        (["slope", "--source", "eqn2", "--k", "11", "--range", "50..200"], "TooLarge"),
-        (["slope", "--source", "eqn2", "--k", "5", "--range", "50..1001"], "TooLarge"),
+        (["slope", "--source", "eqn1", "--k", "18", "--range", "60..300"], "TooLarge"),
+        (["slope", "--source", "eqn1", "--k", "17", "--range", "60..1001"], "TooLarge"),
+        (["slope", "--source", "eqn2", "--k", "18", "--range", "50..200"], "TooLarge"),
+        (["slope", "--source", "eqn2", "--k", "17", "--range", "50..1001"], "TooLarge"),
     ],
 )
 def test_measured_caps_refuse_the_next_size_at_once(argv, error, capsys):
@@ -456,9 +486,35 @@ def fuzz_files(tmp_path_factory):
 
 def _or_malformed(valid, malformed):
     # one token in ten is malformed, so most runs get past the parser
-    return st.integers(0, 9).flatmap(
-        lambda i: st.sampled_from(malformed) if i == 0 else valid
-    )
+    if not isinstance(malformed, st.SearchStrategy):
+        malformed = st.sampled_from(malformed)
+    return st.integers(0, 9).flatmap(lambda i: malformed if i == 0 else valid)
+
+
+# any JSON value: every type a document field could hold by mistake
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text("01x"),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("nt", max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def _document_texts():
+    # matroid, family and spike documents, any value of which may be
+    # replaced by a JSON value of any type
+    def mostly(values):
+        return _or_malformed(values, _JSON)
+
+    rows = mostly(st.lists(mostly(st.lists(mostly(st.integers(-1, 5)), max_size=4))))
+    size = mostly(st.integers(0, 5))
+    pick = mostly(st.integers(0, 31) | st.text("01", min_size=3, max_size=5))
+    picks = mostly(st.lists(pick, max_size=3))
+    return st.one_of(
+        st.fixed_dictionaries({"n": size, "rank": size, "bases": rows}),
+        st.fixed_dictionaries({"n": size, "rank": size, "chs": rows}),
+        st.fixed_dictionaries({"t": mostly(st.integers(3, 5)), "picks": picks}),
+    ).map(json.dumps)
 
 
 def _int_arg(lo: int, hi: int, *capped: int):
@@ -494,8 +550,8 @@ def _command(words: str, *flags):
     return st.tuples(*(values for _, values in flags)).map(join)
 
 
-def _grammar(files: list[str], root: str):
-    file = st.sampled_from(files)
+def _grammar(files: list[str], root: str, drawn: str):
+    file = st.sampled_from(files) | st.just(drawn)
     out = ("--out", st.sampled_from([None, None, f"{root}/out.txt", f"{root}/no/x"]))
     elems = st.lists(st.integers(-1, 5).map(str), max_size=3).map(",".join)
     elems = _or_malformed(elems, ["x", "1,,2"])
@@ -553,7 +609,16 @@ def _grammar(files: list[str], root: str):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_cli_contract_fuzz(fuzz_files, data):
-    argv = data.draw(_grammar(*fuzz_files))
+    files, root = fuzz_files
+    drawn = Path(root) / "drawn.json"
+    text = data.draw(_document_texts())
+    drawn.write_text(text, encoding="utf-8")
+    for reader in (matroid_from_json, chfamily_from_json, spikespec_from_json):
+        try:
+            reader(text)
+        except MatroidError:
+            pass
+    argv = data.draw(_grammar(files, root, str(drawn)))
     threads = data.draw(st.sampled_from(["1", "2", "0", "abc"]))
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"FRACTAL_THREADS": threads}):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _documents import misfits_read
 from fractalcensus.bitset import bits, mask_from, subset_masks
 from fractalcensus.kernel import (
     EmptyBases,
@@ -712,6 +713,40 @@ def test_json_rank_mismatch_rejected():
 def test_json_malformed_rejected():
     for text in ("not json", '{"n": 4, "rank": 2}', '{"n": "x", "rank": 2, "bases": []}'):
         with pytest.raises(MalformedDocument):
+            matroid_from_json(text)
+
+
+def test_matroid_reader_takes_only_json_integers():
+    doc = json.loads(matroid_to_json(uniform(2, 4)))
+    positions = {
+        ("n",): (int,),
+        ("rank",): (int,),
+        ("bases",): (list,),
+        ("bases", 2): (list,),
+        ("bases", 2, 1): (int,),
+    }
+    assert misfits_read(matroid_from_json, doc, positions) == []
+    for text in (
+        '{"n": 3.5, "rank": 1, "bases": [[0.9], [true], [2]]}',
+        '{"n": 3, "rank": 1, "bases": ["0", "1", "2"]}',
+        '[3, 1, [[0], [1], [2]]]',
+        "[" * 100_000,
+    ):
+        with pytest.raises(MalformedDocument):
+            matroid_from_json(text)
+
+
+def test_matroid_reader_check_order():
+    # shape, then the ground size, then every element's range, then repeats
+    cases = [
+        ('{"n": 400, "rank": 1, "bases": [[500]]}', SizeOverflow),
+        ('{"n": 4, "rank": 1, "bases": [[0, 0], [7]]}', OutOfRange),
+        ('{"n": 4, "rank": 2, "bases": [[0, 0], [1, 2]]}', MalformedDocument),
+        ('{"n": 4, "rank": 2, "bases": [[0, 1], [2, 3]]}', ExchangeViolation),
+        ('{"n": 4, "rank": 1, "bases": [[0, 1], [0, 2]]}', RankOutOfRange),
+    ]
+    for text, error in cases:
+        with pytest.raises(error):
             matroid_from_json(text)
 
 

@@ -5,6 +5,7 @@ with the kernel's permutation-isomorphism test, so the signature-based
 counts are confirmed by machinery that never looks at Venn cells.
 """
 
+import json
 import random
 from itertools import permutations, product
 from math import comb
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _documents import misfits_read
 from fractalcensus.biasedlift import _trun_perm_maps
 from fractalcensus.bitset import bits, mask_from, subset_masks
 from fractalcensus.kernel import (
@@ -727,6 +729,33 @@ def test_chfamily_from_json_rejects_malformed():
         chfamily_from_json('{"n": 6, "rank": 1, "chs": [[400000000]]}')
     with pytest.raises(OutOfRange):
         chfamily_from_json('{"n": 6, "rank": 1, "chs": [[-1]]}')
+
+
+def test_family_reader_takes_only_json_integers():
+    doc = json.loads(chfamily_to_json(fam(6, 3, {0, 1, 2}, {3, 4, 5})))
+    positions = {
+        ("n",): (int,),
+        ("rank",): (int,),
+        ("chs",): (list,),
+        ("chs", 1): (list,),
+        ("chs", 1, 2): (int,),
+    }
+    assert misfits_read(chfamily_from_json, doc, positions) == []
+    for chs in ("[[0, 0, 1]]", '["01"]'):
+        for rank in (2, 3):
+            with pytest.raises(MalformedDocument):
+                chfamily_from_json(f'{{"n": 6, "rank": {rank}, "chs": {chs}}}')
+
+
+def test_family_reader_refuses_repeats_after_the_range_check():
+    # a repeated element is malformed, as in a matroid document, but every
+    # element's range is checked first
+    with pytest.raises(MalformedDocument, match="repeats"):
+        chfamily_from_json('{"n": 6, "rank": 3, "chs": [[0, 1, 2], [3, 3, 4]]}')
+    with pytest.raises(OutOfRange):
+        chfamily_from_json('{"n": 6, "rank": 3, "chs": [[0, 0, 1], [9, 1, 2]]}')
+    with pytest.raises(DifferenceOne):
+        chfamily_from_json('{"n": 6, "rank": 3, "chs": [[0, 1, 2], [0, 1, 3]]}')
 
 
 def test_census_pk_rejects_negative_inputs():
