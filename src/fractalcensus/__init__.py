@@ -13,8 +13,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The kernel, and numpy with it, loads on first use, so that
-    # `python -m fractalcensus.cli` can configure numpy before it loads.
+    # The kernel loads on first use. Its modules bind numpy lazily, and the
+    # CLI configures numpy's BLAS threads and then loads it after parsing its
+    # arguments, so `--help` and usage errors never load numpy.
     if name in __all__:
         from . import kernel
 

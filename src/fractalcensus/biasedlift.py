@@ -25,8 +25,7 @@ from functools import lru_cache
 from itertools import combinations, groupby
 from typing import Iterable, Iterator
 
-import numpy as np
-
+from ._lazy import np
 from .bitset import _subset_sizes, subset_index
 from .kernel import (
     INT,

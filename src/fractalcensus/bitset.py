@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
+from ._lazy import np
 
 
 def bits(mask: int) -> Iterator[int]:

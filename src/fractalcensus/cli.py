@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from pathlib import Path
 # BLAS call (the float64 degree product in kernel) gains nothing from a
 # pool, whose start-up costs every process tens of milliseconds and CPU on
 # a second core. FRACTAL_THREADS is the parallelism, and forked workers
-# inherit this setting. It must precede every import that loads numpy.
+# inherit this setting. It must precede numpy's load: the modules below bind
+# numpy lazily, and `main` loads it once the arguments have parsed.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .biasedlift import (
@@ -37,6 +39,7 @@ from .biasedlift import (
 )
 from .gamma import gamma_csv, gamma_pk_table, gamma_sk_table, slope_fit
 from .bitset import mask_from
+from ._lazy import load_numpy
 from .kernel import MatroidError, check_elements, matroid_from_json, matroid_to_json
 from .parallel import BadThreadCount
 from .sparsepaving import (
@@ -80,10 +83,11 @@ class UnwritableFile(MatroidError):
 
 
 def _element_mask(text: str, n: int) -> int:
-    try:
-        elements = [int(part) for part in text.split(",")] if text else []
-    except ValueError:
+    # ASCII digits only: int() would also read "1_0", " 1" and fullwidth digits
+    parts = text.split(",") if text else []
+    if not all(re.fullmatch(r"[+-]?[0-9]+", part) for part in parts):
         raise BadElementList(f"expected comma-separated elements, got {text!r}")
+    elements = [int(part) for part in parts]
     check_elements(elements, n)
     return mask_from(elements)
 
@@ -341,6 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # every command that gets here computes: load numpy now, so its import is
+    # paid once, before any work or pool fork, and never by --help or a usage
+    # error
+    load_numpy()
     try:
         return args.run(args)
     except (MatroidError, BadThreadCount) as exc:

@@ -15,8 +15,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
+from ._lazy import np
 from .biasedlift import (
     TooLarge,
     check_strata_size,

@@ -31,11 +31,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .bitset import _subset_sizes, elements_of, mask_from, subset_index
 
 MAX_GROUND = 24
+# rank-table passes over bits below _FOLD_BITS run on transposed chunks of
+# 2^_FOLD_CHUNK_BITS rows (256 KB), which stay in cache
+_FOLD_BITS = 4
+_FOLD_CHUNK_BITS = 14
 
 
 class MatroidError(Exception):
@@ -177,17 +180,29 @@ class Matroid:
         the largest independent set inside x.  Both sweeps are n vectorized
         passes over the 2^n table.  X is independent iff its entry equals
         |X|, so this one cached table answers every subset query.
+
+        The pass for bit e works in runs of 2^e entries, which are short for
+        the low bits, so those passes run on transposed chunks of the table,
+        where the low bits lead the index.  Passes of one sweep commute, so
+        the table is the plain per-bit sweep's.
         """
         got = self._cache.get("tab")
         if got is None:
-            got = np.full(1 << self.n, -1, dtype=np.int8)
+            n = self.n
+            low = min(n, _FOLD_BITS)
+            got = np.full(1 << n, -1, dtype=np.int8)
             got[self._bases] = self.r
-            for e in range(self.n):
-                rv = got.reshape(-1, 2, 1 << e)
-                np.maximum(rv[:, 0, :], rv[:, 1, :] - 1, out=rv[:, 0, :])
-            for e in range(self.n):
-                rv = got.reshape(-1, 2, 1 << e)
-                np.maximum(rv[:, 1, :], rv[:, 0, :], out=rv[:, 1, :])
+            _sweep_down(got, range(low, n))
+            blocks = got.reshape(-1, 1 << low)
+            lead = min(n - low, _FOLD_CHUNK_BITS)
+            for start in range(0, len(blocks), 1 << lead):
+                chunk = blocks[start : start + (1 << lead)]
+                # folded[j, i] = chunk[i, j]: bit e < low is bit lead + e
+                folded = chunk.T.copy()
+                _sweep_down(folded.reshape(-1), range(lead, lead + low))
+                _sweep_up(folded.reshape(-1), range(lead, lead + low))
+                chunk[:] = folded.T
+            _sweep_up(got, range(low, n))
             self._cache["tab"] = got
         return got
 
@@ -444,6 +459,20 @@ class Matroid:
             (rank[subset_index(self.n, r - 1)] == r - 1).all()
             and (rank[subset_index(self.n, r + 1)] == r).all()
         )
+
+
+def _sweep_down(table: "np.ndarray", bits: range) -> None:
+    """In place, t[x] = max(t[x], t[x | e] - 1) for each bit e of ``bits``."""
+    for e in bits:
+        rv = table.reshape(-1, 2, 1 << e)
+        np.maximum(rv[:, 0, :], rv[:, 1, :] - 1, out=rv[:, 0, :])
+
+
+def _sweep_up(table: "np.ndarray", bits: range) -> None:
+    """In place, t[x | e] = max(t[x | e], t[x]) for each bit e of ``bits``."""
+    for e in bits:
+        rv = table.reshape(-1, 2, 1 << e)
+        np.maximum(rv[:, 1, :], rv[:, 0, :], out=rv[:, 1, :])
 
 
 # -- constructors -----------------------------------------------------------

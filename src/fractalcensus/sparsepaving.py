@@ -25,8 +25,7 @@ from itertools import permutations
 from math import comb
 from typing import Iterator
 
-import numpy as np
-
+from ._lazy import np
 from .bitset import bits, subset_index
 from .kernel import (
     INT,

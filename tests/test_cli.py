@@ -154,6 +154,22 @@ def test_bad_element_lists_exit_cleanly(u24_file, capsys):
     assert _exit_one(argv + ["--delete", "x"], capsys) == "BadElementList"
     assert _exit_one(argv + ["--delete", "-1"], capsys) == "OutOfRange"
     assert _exit_one(argv + ["--contract", "4"], capsys) == "OutOfRange"
+    # int() would read "1_0" as 10, and " 1" or a fullwidth or Arabic-Indic 1 as 1
+    bad = ["1_0", "0_1", " 1", "1 ", "\uff11", "0,\uff11", "\u0661", "+-1", "1,,2"]
+    for text in bad:
+        assert _exit_one(argv + ["--delete", text], capsys) == "BadElementList"
+
+
+@pytest.mark.parametrize(
+    "delete, contract, want",
+    [("", "", uniform(2, 4)), ("+0", "01", uniform(1, 2)), ("-0", "", uniform(2, 3))],
+)
+def test_element_lists_read_signed_ascii_integers(
+    delete, contract, want, u24_file, capsys
+):
+    argv = ["matroid", "minor", "--file", u24_file]
+    assert main(argv + ["--delete", delete, "--contract", contract]) == 0
+    assert matroid_from_json(capsys.readouterr().out) == want
 
 
 def test_missing_files_exit_cleanly(u24_file, tmp_path, capsys):
@@ -422,6 +438,49 @@ def test_cli_runs_one_blas_thread(exported, seen):
     assert (code, blas, pool) == ("0", seen, "False")
     if exported is None:
         assert tasks == "1"  # no BLAS pool thread beside the main one
+
+
+_NUMPY_PROBE = (
+    "import sys\n"
+    "from fractalcensus import cli\n"
+    "def loaded():\n"
+    "    return any(name.startswith('numpy.') for name in sys.modules)\n"
+    "run = cli._run_matroid_validate\n"
+    "def validate(args):\n"
+    "    print('probe: handler', loaded(), file=sys.stderr)\n"
+    "    return run(args)\n"
+    "cli._run_matroid_validate = validate\n"
+    "try:\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print('probe: exit', code, loaded(), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, seen",
+    [
+        (["--help"], ["exit 0 False"]),
+        (["sp", "census", "--n", "8"], ["exit 2 False"]),
+        (["gamma", "pk", "--k", "1", "--n", "8-10"], ["exit 2 False"]),
+        (["matroid", "validate", "--file"], ["handler True", "exit 0 True"]),
+    ],
+)
+def test_numpy_loads_only_for_commands_that_compute(argv, seen, u24_file):
+    # every module binds numpy lazily and main loads it after parsing, so
+    # --help and usage errors run none of numpy's code, and a command loads
+    # it before its handler runs; one eager `import numpy` fails the first two
+    if argv[-1] == "--file":
+        argv = argv + [u24_file]
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=_env("1"),
+    )
+    lines = done.stderr.splitlines()
+    assert [line[7:] for line in lines if line.startswith("probe: ")] == seen
 
 
 def test_cli_import_loads_every_module():

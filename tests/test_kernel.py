@@ -10,12 +10,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _documents import misfits_read
+from fractalcensus import kernel
 from fractalcensus.bitset import bits, mask_from, subset_masks
 from fractalcensus.kernel import (
     EmptyBases,
@@ -447,6 +449,41 @@ def test_make_matroid_keeps_rank_table():
     assert tab.tolist() == [min(x.bit_count(), 2) for x in range(1 << 5)]
 
 
+def _plain_rank_table(m: Matroid) -> np.ndarray:
+    # the two sweeps one bit at a time, in place, with no fold
+    got = np.full(1 << m.n, -1, dtype=np.int8)
+    got[m.basis_array] = m.r
+    for e in range(m.n):
+        rv = got.reshape(-1, 2, 1 << e)
+        np.maximum(rv[:, 0, :], rv[:, 1, :] - 1, out=rv[:, 0, :])
+    for e in range(m.n):
+        rv = got.reshape(-1, 2, 1 << e)
+        np.maximum(rv[:, 1, :], rv[:, 0, :], out=rv[:, 1, :])
+    return got
+
+
+def _fresh_rank_table(m: Matroid, fold: int, chunk: int) -> np.ndarray:
+    fresh = Matroid(m.n, m.r, m.bases)
+    with mock.patch.multiple(kernel, _FOLD_BITS=fold, _FOLD_CHUNK_BITS=chunk):
+        return fresh._rank_table()
+
+
+def test_rank_table_fold_matches_plain_sweep_exhaustively():
+    for m in _small_matroids():
+        want = _plain_rank_table(m)
+        assert np.array_equal(Matroid(m.n, m.r, m.bases)._rank_table(), want)
+        for fold, chunk in ((0, 14), (1, 0), (2, 1), (3, 14), (5, 14)):
+            assert np.array_equal(_fresh_rank_table(m, fold, chunk), want)
+
+
+def test_rank_table_fold_on_u1_24():
+    # the widest ground set: rank 1 on every nonempty subset
+    m = uniform(1, 24)
+    got = Matroid(m.n, m.r, m.bases)._rank_table()  # 64 chunks
+    assert np.array_equal(got, _plain_rank_table(m))
+    assert got[0] == 0 and (got[1:] == 1).all()
+
+
 def test_make_matroid_rejects_empty_and_mixed():
     with pytest.raises(EmptyBases):
         make_matroid(3, [])
@@ -788,6 +825,14 @@ def matroids(draw) -> Matroid:
         e = draw(st.integers(min_value=0, max_value=m.n - 1))
         m = m.delete(e) if draw(st.booleans()) else m.contract(e)
     return m
+
+
+@settings(max_examples=40)
+@given(matroids(), st.integers(min_value=0, max_value=8), st.integers(0, 3))
+def test_rank_table_fold_matches_plain_sweep(m: Matroid, fold: int, chunk: int):
+    want = _plain_rank_table(m)
+    assert np.array_equal(Matroid(m.n, m.r, m.bases)._rank_table(), want)
+    assert np.array_equal(_fresh_rank_table(m, fold, chunk), want)
 
 
 @given(matroids(), matroids())
