@@ -36,6 +36,7 @@ from .kernel import (
     MatroidError,
     OutOfRange,
     RankedFlat,
+    _sweep_up,
     direct_sum,
     is_excluded_minor,
     read_document,
@@ -44,15 +45,15 @@ from .kernel import (
 )
 from .sparsepaving import (
     CompositionSolution,
-    NotASolution,
     TooSmall,
     _allocate,
     _cells,
-    _composition_counts,
-    _compositions,
+    _check_solution,
     _grow,
     _lexmin_classes,
     _perm_cell_maps,
+    _solution_counts,
+    _solutions,
 )
 
 SINGLE = "single"
@@ -244,8 +245,9 @@ def ham_class(g: GGraph, picks: Iterable[int]) -> LinearClass:
 
 
 def _balanced(g: GGraph, cls: LinearClass) -> "np.ndarray":
-    """Boolean per cycle of g: is it a member of the class?"""
-    cycles = _cycle_structure(g)[0]
+    """Boolean per cycle of g: is it a member of the class?  Raises
+    InvalidLinearClass unless cls is a linear class of g."""
+    cycles, thetas, _ = _cycle_structure(g)
     members = np.array(cls.members, dtype=np.int64)
     at = np.searchsorted(cycles, members)
     known = at < len(cycles)
@@ -254,6 +256,10 @@ def _balanced(g: GGraph, cls: LinearClass) -> "np.ndarray":
         raise InvalidLinearClass(f"member {int(members[~known][0]):#x} is not a cycle")
     bal = np.zeros(len(cycles), dtype=bool)
     bal[at] = True
+    bad = thetas[bal[thetas].sum(axis=1) == 2]
+    if len(bad):
+        names = ", ".join(f"{c:#x}" for c in cycles[bad[0]].tolist())
+        raise InvalidLinearClass(f"theta of {names} has exactly two balanced cycles")
     return bal
 
 
@@ -264,11 +270,7 @@ def validate_linear_class(g: GGraph, cls: LinearClass) -> LinearClass:
     restrictions (Hamiltonian-only members, edge-disjointness, the one-loop
     cap) belong to the catalog builders that need them.
     """
-    cycles, thetas, _ = _cycle_structure(g)
-    bad = thetas[_balanced(g, cls)[thetas].sum(axis=1) == 2]
-    if len(bad):
-        names = ", ".join(f"{c:#x}" for c in cycles[bad[0]].tolist())
-        raise InvalidLinearClass(f"theta of {names} has exactly two balanced cycles")
+    _balanced(g, cls)
     return cls
 
 
@@ -297,11 +299,8 @@ def _matroid_from_circuits(n: int, r: int, circuits: tuple[int, ...]) -> Matroid
     if n > MAX_GROUND:
         raise TooLarge(f"ground size {n} above {MAX_GROUND}")
     dep = np.zeros(1 << n, dtype=bool)
-    if circuits:
-        dep[list(circuits)] = True
-    for e in range(n):
-        half = dep.reshape(-1, 2, 1 << e)
-        half[:, 1, :] |= half[:, 0, :]
+    dep[list(circuits)] = True
+    _sweep_up(dep, range(n))  # max on bools is OR: supersets of circuits
     indep = ~dep
     counts = _subset_sizes(n)
     top = int(counts[indep].max())
@@ -315,10 +314,10 @@ def _matroid_from_circuits(n: int, r: int, circuits: tuple[int, ...]) -> Matroid
 
 def lift_matroid(g: GGraph, cls: LinearClass) -> Matroid:
     """Lift matroid of the biased graph (g, cls)."""
-    validate_linear_class(g, cls)
+    circuits = lift_circuits(g, cls)
     balanced_graph = len(set(cls.members)) == len(_cycle_structure(g)[0])
     r = g.vertex_count - (1 if balanced_graph else 0)
-    return _matroid_from_circuits(g.n, r, lift_circuits(g, cls))
+    return _matroid_from_circuits(g.n, r, circuits)
 
 
 def cycle_matroid(g: GGraph) -> Matroid:
@@ -337,7 +336,9 @@ class SpikeSpec:
     picks: tuple[int, ...]
 
 
-def _check_picks(t: int, picks: tuple[int, ...]) -> tuple[int, ...]:
+def _check_picks(t: int, picks: Iterable) -> tuple[int, ...]:
+    """Parsed picks, deduplicated and sorted, once they pass the checks."""
+    picks = tuple(sorted(set(_parse_pick(t, p) for p in picks)))
     full = (1 << t) - 1
     for p in picks:
         if p < 0 or p > full:
@@ -367,8 +368,7 @@ def pick_string(t: int, pick: int) -> str:
 def spike_spec(t: int, picks: Iterable) -> SpikeSpec:
     if t < 3:
         raise TooSmall(f"spike rank {t} below 3")
-    cleaned = tuple(sorted(set(_parse_pick(t, p) for p in picks)))
-    return SpikeSpec(t, _check_picks(t, cleaned))
+    return SpikeSpec(t, _check_picks(t, picks))
 
 
 def spike_from_spec(spec: SpikeSpec) -> Matroid:
@@ -453,8 +453,7 @@ def _glance_parts(desc) -> tuple[int, int, int, tuple[int, ...]]:
     if isinstance(desc, SpikeSpec):
         return desc.t, 0, 0, desc.picks
     t, s, p, picks = desc
-    cleaned = tuple(sorted(set(_parse_pick(t, x) for x in picks)))
-    return t, s, p, _check_picks(t, cleaned)
+    return t, s, p, _check_picks(t, picks)
 
 
 def glance_signature(desc) -> GlanceKey:
@@ -575,11 +574,8 @@ def _catalog_b(n: int, k: int) -> Iterator[Matroid]:
 
 
 def _catalog_c(n: int, k: int) -> Iterator[Matroid]:
-    if n == 0:
-        yield lift_matroid(GGraph(SINGLE, 0, 0, 0), LinearClass(()))
-        return
     g = GGraph(SINGLE, 0, 0, n)
-    for b in range(min(k, 1) + 1):
+    for b in range(min(k, 1, n) + 1):
         yield lift_matroid(g, LinearClass((1,)[:b]))
 
 
@@ -632,11 +628,8 @@ def categorize(m: Matroid, k: int) -> Category | None:
 
     Classification is generate-and-test against the catalog, so a result
     of None is a certificate that m lies outside the class for this bound.
-    Catalogs are cached per (size, bound); the very largest combination
-    (14 elements with bound 6) takes 13-15 seconds to build on first use on
-    a 2-vCPU host (README "Size caps"): the largest share assembles lifts,
-    and the trun orbits, the element profiles of the bucket keys and the
-    3,709 isomorphism tests of its dedupe take the rest.
+    Catalogs are cached per (size, bound); README "Size caps" gives the
+    build time and peak of the largest, 14 elements with bound 6.
     """
     if k < 0:
         raise OutOfRange(f"negative bound {k}")
@@ -776,27 +769,22 @@ def bottom_index_sets(k: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, 1 << k) if 1 <= m.bit_count() <= k - 2)
 
 
-def _bottom_equation(t: int, k: int) -> tuple[tuple[int, ...], int]:
-    """Index sets and total t - 2(k+1) of the unit-weight bottom equation."""
+def _bottom_equation(t: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Index sets, unit weights and total t - 2(k+1) of the bottom equation."""
     sets = bottom_index_sets(k)
     if t < 2 * (k + 1):
         raise TooSmall(f"half-size {t} below 2(k+1) = {2 * (k + 1)}")
-    return sets, t - 2 * (k + 1)
+    return sets, (1,) * len(sets), t - 2 * (k + 1)
 
 
 def bottom_solutions(t: int, k: int) -> Iterator[CompositionSolution]:
     """Non-negative assignments summing to t - 2(k+1), lexicographically."""
-    sets, target = _bottom_equation(t, k)
-    for values in _compositions((1,) * len(sets), target):
-        yield CompositionSolution(sets, values)
+    yield from _solutions(_bottom_equation(t, k))
 
 
 def bottom_solution_counts(half_sizes: range, k: int) -> list[int]:
-    """Solution counts at consecutive half-sizes, read off one coin-style DP
-    row."""
-    low = _bottom_equation(half_sizes[0], k)[1]
-    sets, top = _bottom_equation(half_sizes[-1], k)
-    return _composition_counts((1,) * len(sets), top)[low:]
+    """Solution counts at consecutive half-sizes, from one DP row."""
+    return _solution_counts(_bottom_equation, half_sizes, k)
 
 
 def bottom_solution_count(t: int, k: int) -> int:
@@ -810,14 +798,10 @@ def bottom_construct(phi: CompositionSolution, t: int, k: int) -> SpikeSpec:
     one for each index, and the rest follow the solution; the final pick
     takes the unmarked side everywhere.
     """
-    sets, target = _bottom_equation(t, k)
-    if phi.index_sets != sets or any(v < 0 for v in phi.values):
-        raise NotASolution("assignment does not cover the index sets")
-    if sum(phi.values) != target:
-        raise NotASolution(f"values sum to {sum(phi.values)}, need {target}")
+    _check_solution(phi, _bottom_equation(t, k))
     full = (1 << k) - 1
     blocks = [(0, 2)] + [(full ^ (1 << i), 2) for i in range(k)]
-    marks = _allocate(k, blocks + list(zip(sets, phi.values)))
+    marks = _allocate(k, blocks + list(zip(phi.index_sets, phi.values)))
     tfull = (1 << t) - 1
     return spike_spec(t, [mark ^ tfull for mark in marks] + [0])
 

@@ -205,22 +205,19 @@ def _run_gamma_sk(args) -> int:
     return 0
 
 
-# per source, the largest k measured to finish a range to the top size in
-# 60 s and 1 GB, over a range from the smallest size (README "Size caps")
-_SLOPE_CAPS = {"eqn1": (17, 1000), "eqn2": (17, 1000)}
+_SERIES = {"eqn1": collar_solution_counts, "eqn2": bottom_solution_counts}
+# for either source, the largest k measured to finish a range to the top size
+# in 60 s and 1 GB, over a range from the smallest size (README "Size caps")
+_SLOPE_CAPS = (17, 1000)
 
 
 def _run_slope(args) -> int:
-    k_cap, top_cap = _SLOPE_CAPS[args.source]
+    k_cap, top_cap = _SLOPE_CAPS
     if args.k > k_cap or args.range[-1] > top_cap:
         raise TooLarge(
             f"{args.source} series capped at k = {k_cap} and size {top_cap}"
         )
-    if args.source == "eqn1":
-        counts = collar_solution_counts(args.range, args.k)
-    else:
-        counts = bottom_solution_counts(args.range, args.k)
-    series = list(zip(args.range, counts))
+    series = list(zip(args.range, _SERIES[args.source](args.range, args.k)))
     window = None
     if args.window is not None:
         window = (args.window.start, args.window.stop - 1)

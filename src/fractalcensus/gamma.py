@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable
 
@@ -110,10 +109,9 @@ def gamma_sk_table(k: int, half_sizes: Iterable[int]) -> list[GammaRow]:
 
 
 def _decimal_12(g: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 60
-        d = Decimal(g.numerator) / Decimal(g.denominator)
-        return format(d.quantize(Decimal("1.000000000000")), "f")
+    """g >= 0 to 12 decimal places, exactly, with ties to even."""
+    q = round(g * 10**12)
+    return f"{q // 10**12}.{q % 10**12:012d}"
 
 
 def gamma_csv(rows: list[GammaRow]) -> str:

@@ -463,6 +463,31 @@ def _composition_counts(weights: tuple[int, ...], top: int) -> list[int]:
     return row
 
 
+def _solutions(equation) -> Iterator[CompositionSolution]:
+    """Solutions of an (index_sets, weights, target) equation, lexicographically."""
+    index_sets, weights, target = equation
+    for values in _compositions(weights, target):
+        yield CompositionSolution(index_sets, values)
+
+
+def _solution_counts(equation_at, sizes: range, k: int) -> list[int]:
+    """Counts of equation_at(size, k) at consecutive sizes, from one DP row."""
+    low = equation_at(sizes[0], k)[2]
+    _, weights, top = equation_at(sizes[-1], k)
+    return _composition_counts(weights, top)[low:]
+
+
+def _check_solution(phi: CompositionSolution, equation) -> None:
+    """Raise NotASolution unless phi solves the equation."""
+    index_sets, weights, target = equation
+    layout = (phi.index_sets, len(phi.values)) == (index_sets, len(weights))
+    if not layout or any(v < 0 for v in phi.values):
+        raise NotASolution("assignment does not fit the variable layout")
+    weighted = sum(w * v for w, v in zip(weights, phi.values))
+    if weighted != target:
+        raise NotASolution(f"weighted sum {weighted} != {target}")
+
+
 def collar_index_sets(k: int) -> tuple[int, ...]:
     """Variable index sets: subsets of {1..k+1} with 2 <= size <= k."""
     if k < 0:
@@ -487,17 +512,12 @@ def collar_solutions(n: int, k: int) -> Iterator[CompositionSolution]:
     The variable for index set I carries weight k + 2 - |I|; assignments
     stream in lexicographic order over the fixed variable order.
     """
-    index_sets, weights, target = _collar_equation(n, k)
-    for values in _compositions(weights, target):
-        yield CompositionSolution(index_sets, values)
+    yield from _solutions(_collar_equation(n, k))
 
 
 def collar_solution_counts(sizes: range, k: int) -> list[int]:
-    """Solution counts at consecutive sizes, read off one coin-style DP row
-    over the variable weights."""
-    low = _collar_equation(sizes[0], k)[2]
-    _, weights, top = _collar_equation(sizes[-1], k)
-    return _composition_counts(weights, top)[low:]
+    """Solution counts at consecutive sizes, from one DP row."""
+    return _solution_counts(_collar_equation, sizes, k)
 
 
 def collar_solution_count(n: int, k: int) -> int:
@@ -512,14 +532,9 @@ def collar_construct(phi: CompositionSolution, n: int, k: int) -> CHFamily:
     then adds one element to cell I and one to every singleton cell
     outside I, keeping the members equicardinal throughout.
     """
-    index_sets, weights, target = _collar_equation(n, k)
-    if phi.index_sets != index_sets or any(v < 0 for v in phi.values):
-        raise NotASolution("assignment does not fit the variable layout")
-    weighted = sum(w * v for w, v in zip(weights, phi.values))
-    if weighted != target:
-        raise NotASolution(f"weighted sum {weighted} != {target}")
+    _check_solution(phi, _collar_equation(n, k))
     blocks = [(1 << i, 2) for i in range(k + 1)]
-    for mask, v in zip(index_sets, phi.values):
+    for mask, v in zip(phi.index_sets, phi.values):
         blocks.append((mask, v))
         blocks += [(1 << i, v) for i in range(k + 1) if not mask >> i & 1]
     members = _allocate(k + 1, blocks)
@@ -531,6 +546,12 @@ def pk_member(m: Matroid, k: int) -> bool:
     return m.is_sparse_paving() and len(m.circuit_hyperplanes()) <= k
 
 
+# the sweep takes n <= 16 at every k, and k <= 3 stays fast to there; at k = 4
+# the cap is the largest size measured to finish in 60 s and 1 GB at one
+# thread (README "Size caps")
+_EXMINOR_K4_N_CAP = 9
+
+
 def exminor_shards(n: int, k: int) -> list[tuple[int, int, int]]:
     """Independent (n, k, r) work units for the excluded-minor sweep."""
     if not 1 <= k <= 4:
@@ -539,6 +560,8 @@ def exminor_shards(n: int, k: int) -> list[tuple[int, int, int]]:
         raise OutOfRange(f"negative size {n}")
     if n > 16:
         raise BoundTooLarge("excluded-minor sweep caps at n = 16")
+    if k == 4 and n > _EXMINOR_K4_N_CAP:
+        raise BoundTooLarge(f"excluded-minor sweep caps at n = {_EXMINOR_K4_N_CAP} at k = 4")
     return [(n, k, r) for r in range(2, n - 1)]
 
 

@@ -35,10 +35,12 @@ from fractalcensus.biasedlift import (
     _catalog_c,
     _catalog_d,
     _catalog_f,
+    _check_picks,
     _cycle_shapes,
     _cycle_structure,
     _family_from_cells,
     _ham_mask,
+    _matroid_from_circuits,
     _orbit_counts,
     _pair_mask,
     _parse_pick,
@@ -86,6 +88,8 @@ from fractalcensus.biasedlift import (
 )
 from fractalcensus.kernel import (
     MalformedDocument,
+    Matroid,
+    MatroidError,
     OutOfRange,
     direct_sum,
     is_excluded_minor,
@@ -93,11 +97,13 @@ from fractalcensus.kernel import (
     uniform,
 )
 from fractalcensus.sparsepaving import (
+    CompositionSolution,
     NotASolution,
     TooSmall,
     _composition_counts,
     _lexmin_classes,
     _perm_cell_maps,
+    collar_construct,
     collar_index_sets,
     collar_solution_count,
     collar_solution_counts,
@@ -414,6 +420,9 @@ def test_cycle_table_matches_shape_loops():
             tally[ok] += 1
             if ok:
                 assert lift_circuits(g, cls) == _oracle_lift_circuits(g, cls), (g, cls)
+            else:
+                with pytest.raises(InvalidLinearClass):
+                    lift_circuits(g, cls)
     # both verdicts are well represented
     assert min(tally.values()) > 5000
 
@@ -433,6 +442,27 @@ def test_cycle_table_arrays():
         assert union.bit_count() == g.t + g.s + 1
     with pytest.raises(TooLarge):
         _cycle_structure(GGraph(CYCLE, 0, 25, 0))
+
+
+def _oracle_matroid_from_circuits(n: int, circuits: list[int]) -> Matroid:
+    """Bases as the largest subsets containing no circuit, by a scan."""
+    indep = [x for x in range(1 << n) if not any(c & ~x == 0 for c in circuits)]
+    r = max(x.bit_count() for x in indep)
+    return Matroid(n, r, [x for x in indep if x.bit_count() == r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matroid_from_circuits_matches_up_closure_scan(data):
+    n = data.draw(st.integers(0, 10))
+    circuits = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=12)) if n else []
+    want = _oracle_matroid_from_circuits(n, circuits)
+    assert _matroid_from_circuits(n, want.r, tuple(circuits)) == want
+    with pytest.raises(MatroidError) as err:
+        _matroid_from_circuits(n, want.r + 1, tuple(circuits))
+    assert str(err.value) == (
+        f"circuit clauses give rank {want.r} but the vertex count says {want.r + 1}"
+    )
 
 
 # -- spikes ---------------------------------------------------------------------
@@ -535,6 +565,37 @@ def test_lift_from_contraction_interior_label():
 def test_glance_signature_example():
     key = glance_signature(spike_spec(5, [0, 3]))
     assert key == GlanceKey(0, 0, (2, 3))
+
+
+# each pick list at t = 5 with its cleaned picks, or the error it raises:
+# strings read low pair first, so "11000" is pick 3
+_PICK_LISTS = [
+    (["11000", "00011"], (3, 24)),
+    ([3, 24], (3, 24)),
+    ([24, "11000", 3, 24], (3, 24)),
+    ([0, 0, 3, 3, 5], (0, 3, 5)),
+    ([3, 32], OutOfRange),
+    ([-1, 3], OutOfRange),
+    (["1100", 3], OutOfRange),
+    (["11020", 3], OutOfRange),
+    ([3, 7], InvalidLinearClass),
+    ([0, 1, 1], InvalidLinearClass),
+    (list(range(32)), InvalidLinearClass),
+]
+
+
+@pytest.mark.parametrize("picks, want", _PICK_LISTS)
+def test_spike_spec_and_glance_clean_picks_alike(picks, want):
+    if isinstance(want, tuple):
+        assert _check_picks(5, picks) == want
+        assert spike_spec(5, picks) == SpikeSpec(5, want)
+        assert glance_signature((5, 0, 0, picks)) == glance_signature(SpikeSpec(5, want))
+        return
+    with pytest.raises(want) as by_spec:
+        spike_spec(5, picks)
+    with pytest.raises(want) as by_glance:
+        glance_signature((5, 0, 0, picks))
+    assert str(by_spec.value) == str(by_glance.value)
 
 
 def test_glance_isomorphic_pairs():
@@ -918,6 +979,11 @@ def test_categorize_members():
     assert categorize(cycle_matroid(ggraph(CYCLE, 2, 1, 0)).dual(), 0) is not None
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_catalog_c_at_size_zero_is_the_empty_matroid(k):
+    assert list(_catalog_c(0, k)) == [uniform(0, 0)]
+
+
 def test_categorize_gates():
     with pytest.raises(OutOfRange):
         categorize(uniform(1, 2), -1)
@@ -1253,6 +1319,37 @@ def test_bottom_construct_rejects_bad_solution():
     phi = CompositionSolution((), ())
     with pytest.raises(NotASolution):
         bottom_construct(phi, 7, 2)
+
+
+@pytest.mark.parametrize(
+    "construct, solutions, weight",
+    [
+        (collar_construct, collar_solutions, lambda mask: 5 - mask.bit_count()),
+        (bottom_construct, bottom_solutions, lambda mask: 1),
+    ],
+)
+def test_constructs_refuse_the_same_faults(construct, solutions, weight):
+    # eqn (1) at n = 12 and eqn (2) at t = 12, both with k = 3 and total 4;
+    # the first solution puts 0 on the first variable and 4 of weight on the last
+    phi = next(solutions(12, 3))
+    construct(phi, 12, 3)
+    sets, values = phi.index_sets, list(phi.values)
+    w0, w1 = weight(sets[0]), weight(sets[1])
+    # same weighted sum, but the first value goes negative
+    negative = [values[0] - w1, values[1] + w0, *values[2:]]
+    missed = [values[0] + 1, *values[1:]]
+    layout = "assignment does not fit the variable layout"
+    for bad, detail in [
+        (CompositionSolution(sets[::-1], phi.values), layout),
+        # one value too many or too few, on otherwise right sums
+        (CompositionSolution(sets, (*phi.values, 1)), layout),
+        (CompositionSolution(sets, phi.values[:-1]), layout),
+        (CompositionSolution(sets, tuple(negative)), layout),
+        (CompositionSolution(sets, tuple(missed)), f"weighted sum {4 + w0} != 4"),
+    ]:
+        with pytest.raises(NotASolution) as err:
+            construct(bad, 12, 3)
+        assert str(err.value) == detail
 
 
 def test_verify_full_and_structural_agree():

@@ -234,12 +234,19 @@ def test_gamma_help_states_lower_bound(capsys):
     assert "lower bounds" in capsys.readouterr().out
 
 
-def test_slope_json(capsys):
-    assert main(["slope", "--source", "eqn1", "--k", "3", "--range", "60..120"]) == 0
+@pytest.mark.parametrize(
+    "source, k, sizes, exponent",
+    [("eqn1", 3, (60, 120), 9), ("eqn2", 5, (50, 200), 24)],
+)
+def test_slope_json(source, k, sizes, exponent, capsys):
+    # each source reads its own series: the other's exponent is far off
+    # (about 2 for eqn2 at k = 3, 33 for eqn1 at k = 5)
+    argv = ["slope", "--source", source, "--k", str(k), "--range", "%d..%d" % sizes]
+    assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["source"] == "eqn1"
-    assert abs(doc["exponent"] - 9) < 1.0
-    assert doc["window"] == [60, 120]
+    assert doc["source"] == source
+    assert abs(doc["exponent"] - exponent) < 1.0
+    assert doc["window"] == list(sizes)
 
 
 def test_slope_zero_count_is_degenerate_at_once(capsys):
@@ -321,6 +328,8 @@ def test_sp_census_size_cap(capsys):
         (["sp", "census", "--n", "29", "--k", "4"], "BoundTooLarge"),
         (["sp", "census", "--n", "14", "--k", "5"], "BoundTooLarge"),
         (["sp", "census", "--n", "11", "--k", "6"], "BoundTooLarge"),
+        (["sp", "exminors", "--n", "10", "--k", "4"], "BoundTooLarge"),
+        (["gamma", "pk", "--k", "4", "--n", "8..10"], "BoundTooLarge"),
         (["sk", "census", "--n", "432", "--k", "3", "--mode", "strata"], "TooLarge"),
         (["sk", "census", "--n", "70", "--k", "4", "--mode", "strata"], "TooLarge"),
         (["sk", "census", "--n", "28", "--k", "5", "--mode", "strata"], "TooLarge"),

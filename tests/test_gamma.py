@@ -123,3 +123,33 @@ def test_pk_table_checks_last_size_before_census(monkeypatch):
     monkeypatch.setattr(gamma, "census_pk", census)
     with pytest.raises(BoundTooLarge):
         gamma_pk_table(2, range(14, 18))
+
+
+def _exact_12(g: Fraction) -> str:
+    """g to 12 places by integer division, a remainder of half going to even."""
+    q, rem = divmod(g.numerator * 10**12, g.denominator)
+    if 2 * rem > g.denominator or (2 * rem == g.denominator and q % 2):
+        q += 1
+    return f"{q // 10**12}.{q % 10**12:012d}"
+
+
+def test_decimal_12_rounds_exactly_with_ties_to_even():
+    assert gamma._decimal_12(Fraction(0)) == "0.000000000000"
+    assert gamma._decimal_12(Fraction(1)) == "1.000000000000"
+    assert gamma._decimal_12(Fraction(1, 2 * 10**12)) == "0.000000000000"
+    assert gamma._decimal_12(Fraction(3, 2 * 10**12)) == "0.000000000002"
+    assert gamma._decimal_12(Fraction(2 * 10**12 - 1, 2 * 10**12)) == "1.000000000000"
+    cases = []
+    for x in (1, 3, 5, 7, 999, 10**12 - 1, 10**12 + 1, 1234567890123, 2 * 10**12 - 1):
+        # the tie, a quarter unit either side, and one part in 2 * 10^56 either
+        # side over a 57-digit denominator
+        cases += [Fraction(x, 2 * 10**12), Fraction(2 * x - 1, 4 * 10**12)]
+        cases += [Fraction(2 * x + 1, 4 * 10**12)]
+        for nudge in (-1, 1):
+            near = Fraction(x * 10**44 + nudge, 2 * 10**56)
+            assert len(str(near.denominator)) == 57
+            cases.append(near)
+            # past the 60 digits a decimal division would keep
+            cases.append(Fraction(x * 10**60 + nudge, 2 * 10**72))
+    for g in cases:
+        assert gamma._decimal_12(g) == _exact_12(g), g

@@ -683,6 +683,10 @@ def test_sp_excluded_minors_bounds():
         sp_excluded_minors(17, 1)
     with pytest.raises(BoundTooLarge):
         sp_excluded_minors(8, 5)
+    with pytest.raises(BoundTooLarge, match="caps at n = 9 at k = 4"):
+        sp_excluded_minors(10, 4)
+    with pytest.raises(BoundTooLarge, match="caps at n = 16$"):
+        sp_excluded_minors(17, 3)
 
 
 def test_sp_excluded_minors_complete_against_brute_small():
