@@ -499,7 +499,9 @@ def _trun_perm_maps(m: int) -> "np.ndarray":
     pattern is complemented when its top bit is set.
     """
     low = (1 << (m - 1)) - 1
-    src = _perm_cell_maps(m)[:, low ^ np.arange(low + 1)]
+    # column J is pattern low ^ J = low - J; a contiguous copy makes the
+    # fold below about twice as fast as on the reversed view
+    src = _perm_cell_maps(m)[:, low::-1].copy()
     flip = (src >> (m - 1) & 1) * ((1 << m) - 1)
     tabs = low & ~(src ^ flip)
     tabs.flags.writeable = False

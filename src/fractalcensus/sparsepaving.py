@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import comb
 from typing import Iterator
 
@@ -214,9 +213,21 @@ def _perm_cell_maps(k: int) -> "np.ndarray":
     the k indices: bit i of a target cell moves to bit perm[i] of its source."""
     if k > 8:
         raise BoundTooLarge(f"permutation tables cap at 8 indices, got {k}")
-    perms = np.array(list(permutations(range(k))), dtype=np.int16)
-    cell_bits = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.int16)
-    tabs = ((1 << perms) @ cell_bits.T).astype(np.uint8)
+    # the permutations of 0..j-1 in lexicographic order: each first value
+    # leads those of 0..j-2, shifted past it
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for j in range(1, k + 1):
+        first = np.repeat(np.arange(j, dtype=np.uint8), len(perms))
+        rest = np.tile(perms, (j, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack((first, rest))
+    # a cell's source is that of the cell without its highest bit i, plus
+    # bit perm[i]: each bit doubles the columns built so far
+    moved = np.uint8(1) << perms
+    tabs = np.zeros((len(perms), 1 << k), dtype=np.uint8)
+    for i in range(k):
+        h = 1 << i
+        np.bitwise_or(tabs[:, :h], moved[:, i, None], out=tabs[:, h : 2 * h])
     tabs.flags.writeable = False
     return tabs
 

@@ -825,6 +825,18 @@ def test_trun_perm_maps_fold_the_venn_tables(m):
     assert set(map(tuple, tabs.tolist())) == set(_trun_perm_maps_loop(m))
 
 
+@pytest.mark.parametrize("m", [7, 8])
+def test_trun_perm_maps_match_the_gather_fold(m):
+    # the earlier fold, by an index gather, as the oracle past the loop's
+    # reach; row for row, since the Venn tables' order is pinned elsewhere
+    low = (1 << (m - 1)) - 1
+    src = _perm_cell_maps(m)[:, low ^ np.arange(low + 1)]
+    flip = (src >> (m - 1) & 1) * ((1 << m) - 1)
+    tabs = _trun_perm_maps(m)
+    assert tabs.dtype == np.uint8 and not tabs.flags.writeable
+    assert np.array_equal(tabs, low & ~(src ^ flip))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_batched_lexmin_matches_scalar_on_trun_vectors(m):
     tabs = _trun_perm_maps(m)

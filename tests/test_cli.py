@@ -450,36 +450,42 @@ def test_cli_runs_one_blas_thread(exported, seen):
 
 
 _NUMPY_PROBE = (
-    "import sys\n"
+    "import gc, sys\n"
     "from fractalcensus import cli\n"
     "def loaded():\n"
     "    return any(name.startswith('numpy.') for name in sys.modules)\n"
+    "def frozen():\n"
+    "    return gc.get_freeze_count() > 0\n"
     "run = cli._run_matroid_validate\n"
     "def validate(args):\n"
-    "    print('probe: handler', loaded(), file=sys.stderr)\n"
+    "    print('probe: handler', loaded(), gc.isenabled(), frozen(), file=sys.stderr)\n"
     "    return run(args)\n"
     "cli._run_matroid_validate = validate\n"
     "try:\n"
     "    code = cli.main(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    "print('probe: exit', code, loaded(), file=sys.stderr)\n"
+    "print('probe: exit', code, loaded(), frozen(), file=sys.stderr)\n"
 )
 
 
 @pytest.mark.parametrize(
     "argv, seen",
     [
-        (["--help"], ["exit 0 False"]),
-        (["sp", "census", "--n", "8"], ["exit 2 False"]),
-        (["gamma", "pk", "--k", "1", "--n", "8-10"], ["exit 2 False"]),
-        (["matroid", "validate", "--file"], ["handler True", "exit 0 True"]),
+        (["--help"], ["exit 0 False False"]),
+        (["sp", "census", "--n", "8"], ["exit 2 False False"]),
+        (["gamma", "pk", "--k", "1", "--n", "8-10"], ["exit 2 False False"]),
+        (
+            ["matroid", "validate", "--file"],
+            ["handler True True True", "exit 0 True True"],
+        ),
     ],
 )
 def test_numpy_loads_only_for_commands_that_compute(argv, seen, u24_file):
     # every module binds numpy lazily and main loads it after parsing, so
     # --help and usage errors run none of numpy's code, and a command loads
-    # it before its handler runs; one eager `import numpy` fails the first two
+    # it before its handler runs; one eager `import numpy` fails the first two.
+    # The load freezes the heap and hands the handler a running collector.
     if argv[-1] == "--file":
         argv = argv + [u24_file]
     done = subprocess.run(
@@ -490,6 +496,80 @@ def test_numpy_loads_only_for_commands_that_compute(argv, seen, u24_file):
     )
     lines = done.stderr.splitlines()
     assert [line[7:] for line in lines if line.startswith("probe: ")] == seen
+
+
+# numpy's modules among the objects the collector still walks: gc.get_objects()
+# lists the collected generations, never the frozen one
+_UNFROZEN_NUMPY = (
+    "import gc, sys, types\n"
+    "def unfrozen_numpy():\n"
+    "    return sum(isinstance(o, types.ModuleType)\n"
+    "               and o.__name__.partition('.')[0] == 'numpy'\n"
+    "               for o in gc.get_objects())\n"
+)
+
+
+def test_load_numpy_freezes_once_and_keeps_the_collector_state():
+    # a caller with the collector off keeps it off; numpy's modules are
+    # frozen with the rest, so the freeze came after the load; a second call
+    # leaves the live objects made since then unfrozen
+    probe = _UNFROZEN_NUMPY + (
+        "from fractalcensus import _lazy\n"
+        "gc.disable()\n"
+        "_lazy.load_numpy()\n"
+        "count = gc.get_freeze_count()\n"
+        "print(gc.isenabled(), count > 0, unfrozen_numpy())\n"
+        "keep = [[] for _ in range(1000)]\n"
+        "_lazy.load_numpy()\n"
+        "print(gc.isenabled(), gc.get_freeze_count() == count)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_env("1")
+    )
+    assert done.stdout.splitlines() == ["False True 0", "False True"]
+
+
+def test_main_freezes_once_with_numpy_frozen(u24_file):
+    # the first main loads numpy and freezes; the second finds it loaded
+    probe = _UNFROZEN_NUMPY + (
+        "from fractalcensus import cli\n"
+        "keep = []\n"
+        "for _ in range(2):\n"
+        "    cli.main(['matroid', 'validate', '--file', sys.argv[1]])\n"
+        "    keep.append([[] for _ in range(1000)])\n"
+        "    print(gc.get_freeze_count(), unfrozen_numpy(), gc.isenabled())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, u24_file],
+        capture_output=True,
+        text=True,
+        env=_env("1"),
+    )
+    out = done.stdout.splitlines()
+    first, second = out[1].split(), out[3].split()
+    assert int(first[0]) > 0 and first[1:] == ["0", "True"]
+    assert second == first
+
+
+def test_failed_numpy_load_turns_the_collector_back_on(tmp_path):
+    # a numpy whose import raises: the collector runs again and nothing froze
+    fake = tmp_path / "numpy"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("raise ImportError('no numpy here')\n")
+    probe = (
+        "import gc\n"
+        "from fractalcensus import _lazy\n"
+        "try:\n"
+        "    _lazy.load_numpy()\n"
+        "except ImportError as exc:\n"
+        "    print(exc, gc.isenabled(), gc.get_freeze_count())\n"
+    )
+    env = _env("1")
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert done.stdout == "no numpy here True 0\n"
 
 
 def test_cli_import_loads_every_module():

@@ -914,6 +914,21 @@ def test_perm_cell_maps_match_loop(m):
     assert tuple(map(tuple, tabs.tolist())) == _perm_cell_maps_loop(m)
 
 
+def _perm_cell_maps_matmul(k: int) -> np.ndarray:
+    """The earlier build: itertools' permutations, then one integer matmul."""
+    perms = np.array(list(permutations(range(k))), dtype=np.int16)
+    cell_bits = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.int16)
+    return ((1 << perms) @ cell_bits.T).astype(np.uint8)
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_perm_cell_maps_match_the_matmul_build(k):
+    # past the loop oracle's reach: same rows in the same lexicographic order
+    tabs = _perm_cell_maps(k)
+    assert tabs.dtype == np.uint8 and not tabs.flags.writeable
+    assert np.array_equal(tabs, _perm_cell_maps_matmul(k))
+
+
 def test_perm_cell_maps_cap_at_eight_indices():
     # uint8 cells stop at 255, the last cell of 8 indices
     tabs = _perm_cell_maps(8)
