@@ -3,7 +3,6 @@ excluded-minor generators and boundary-ratio tables."""
 
 __all__ = [
     "Matroid",
-    "SetFamily",
     "RankedFlat",
     "make_matroid",
     "uniform",

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ._lazy import np
 from .bitset import _subset_sizes, subset_index
@@ -97,8 +96,7 @@ class OddSize(MatroidError):
 # -- graphs -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GGraph:
+class GGraph(NamedTuple):
     """Graph shape: ``t`` parallel pairs, ``s`` thin edges, ``p`` loops.
 
     Edge labels are positional: pair i occupies labels (2i, 2i+1), thins
@@ -222,17 +220,10 @@ def cycles_of(g: GGraph) -> tuple[int, ...]:
 # -- linear classes -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearClass:
+class LinearClass(NamedTuple):
     """Balanced cycles as a sorted tuple of edge masks."""
 
     members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def linear_class(members: Iterable[int]) -> LinearClass:
@@ -328,8 +319,7 @@ def cycle_matroid(g: GGraph) -> Matroid:
 # -- spikes ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpikeSpec:
+class SpikeSpec(NamedTuple):
     """Doubled-cycle lift description: rank t and sorted pick vectors."""
 
     t: int
@@ -338,6 +328,11 @@ class SpikeSpec:
 
 def _check_picks(t: int, picks: Iterable) -> tuple[int, ...]:
     """Parsed picks, deduplicated and sorted, once they pass the checks."""
+    # refused before any 1 << t: no printed spike is larger, and a huge t
+    # would ask for gigabytes
+    cap = max(_SK_EXMINOR_T_CAPS.values())
+    if t > cap:
+        raise TooLarge(f"spike half-size {t} above {cap}")
     picks = tuple(sorted(set(_parse_pick(t, p) for p in picks)))
     full = (1 << t) - 1
     for p in picks:
@@ -422,7 +417,7 @@ def lift_from_contraction(M: Matroid, e: int, g: GGraph) -> tuple[GGraph, Linear
         raise OutOfRange(f"element {e} not within ground set")
     if g.n != M.n - 1 or M.contract(e) != cycle_matroid(g):
         raise PremiseViolated("contraction does not match the cycle matroid")
-    circuits = set(M.circuits().members)
+    circuits = set(M.circuits())
     low = (1 << e) - 1
     members = []
     for c in cycles_of(g):
@@ -439,8 +434,7 @@ def lift_from_contraction(M: Matroid, e: int, g: GGraph) -> tuple[GGraph, Linear
 # -- trun signatures ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlanceKey:
+class GlanceKey(NamedTuple):
     """Isomorphism key for large-rank doubled-cycle lifts: loop count, thin
     count, and the canonical trun cell vector."""
 
@@ -535,11 +529,6 @@ def _family_from_cells(cells: tuple[int, ...], m: int) -> tuple[int, ...]:
 # -- category catalogs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Category:
-    tag: str
-
-
 _CATALOG_N_CAP = 14
 _CATALOG_K_CAP = 6
 # k <= 2 keeps the seed's limit n <= 511, a CLI contract and not a storage
@@ -625,7 +614,7 @@ def _category_catalog(n: int, k: int) -> dict[tuple, list[tuple[str, Matroid]]]:
     return catalog
 
 
-def categorize(m: Matroid, k: int) -> Category | None:
+def categorize(m: Matroid, k: int) -> str | None:
     """First category tag whose generated members contain m, else None.
 
     Classification is generate-and-test against the catalog, so a result
@@ -641,7 +630,7 @@ def categorize(m: Matroid, k: int) -> Category | None:
         raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
     for tag, rep in _category_catalog(m.n, k).get(m._invariant(), ()):
         if m.is_isomorphic(rep):
-            return Category(tag)
+            return tag
     return None
 
 
@@ -671,8 +660,7 @@ def census_sk_exact(n: int, k: int) -> int:
     return sum(len(reps) for reps in _category_catalog(n, k).values())
 
 
-@dataclass(frozen=True)
-class StratumRow:
+class StratumRow(NamedTuple):
     n: int
     k: int
     category: str

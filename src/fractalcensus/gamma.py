@@ -10,9 +10,8 @@ log-log least-squares line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ._lazy import np
 from .biasedlift import (
@@ -30,8 +29,7 @@ class DegenerateSeries(MatroidError):
     """Too few points, or counts a log cannot digest."""
 
 
-@dataclass(frozen=True)
-class GammaRow:
+class GammaRow(NamedTuple):
     n: int
     m_count: int
     m_mode: str
@@ -40,8 +38,7 @@ class GammaRow:
     gamma: Fraction
 
 
-@dataclass(frozen=True)
-class SlopeEstimate:
+class SlopeEstimate(NamedTuple):
     exponent: float
     window: tuple[int, int]
     residual: float

@@ -27,9 +27,7 @@ below the cap; at the cap it is 16 MB and about a second to build.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._lazy import np
 from .bitset import _subset_sizes, elements_of, mask_from, subset_index
@@ -88,29 +86,7 @@ class MalformedDocument(MatroidError):
     pass
 
 
-@dataclass(frozen=True)
-class SetFamily:
-    """A finite family of subsets of {0..n-1}, each subset a bitmask."""
-
-    n: int
-    members: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-
-@dataclass(frozen=True)
-class RankedFlat:
+class RankedFlat(NamedTuple):
     flat: int
     rank: int
 
@@ -208,15 +184,15 @@ class Matroid:
 
     # -- circuits, hyperplanes, flats ---------------------------------------
 
-    def circuits(self) -> SetFamily:
-        """Minimal dependent sets, ascending by mask."""
+    def circuits(self) -> tuple[int, ...]:
+        """Minimal dependent sets as masks, ascending."""
         indep = self._rank_table() == _subset_sizes(self.n)
         minimal = ~indep
         for e in range(self.n):
             step = 1 << e
             mv = minimal.reshape(-1, 2, step)
             mv[:, 1, :] &= indep.reshape(-1, 2, step)[:, 0, :]
-        return SetFamily(self.n, tuple(np.flatnonzero(minimal).tolist()))
+        return tuple(np.flatnonzero(minimal).tolist())
 
     def _flat_sweep(self, cyclic: bool) -> "np.ndarray":
         """Mask over all 2^n subsets of the flats, or of the cyclic flats.
@@ -238,12 +214,12 @@ class Matroid:
                 kv[:, 1, :] &= ~rises
         return keep
 
-    def hyperplanes(self) -> SetFamily:
-        """Flats of rank r-1 (maximal proper flats)."""
+    def hyperplanes(self) -> tuple[int, ...]:
+        """Flats of rank r-1 (maximal proper flats) as masks, ascending."""
         if self.r == 0:
             raise RankZero("rank-0 matroid has no hyperplanes")
         flat = self._flat_sweep(cyclic=False) & (self._rank_table() == self.r - 1)
-        return SetFamily(self.n, tuple(np.flatnonzero(flat).tolist()))
+        return tuple(np.flatnonzero(flat).tolist())
 
     def circuit_hyperplanes(self) -> tuple[int, ...]:
         """Circuits that are simultaneously hyperplanes, ascending.

@@ -19,10 +19,9 @@ definition of an excluded minor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ._lazy import np
 from .bitset import bits, subset_index
@@ -83,8 +82,7 @@ class NotASolution(MatroidError):
     pass
 
 
-@dataclass(frozen=True)
-class CHFamily:
+class CHFamily(NamedTuple):
     """Ordered circuit-hyperplane family of a sparse paving matroid."""
 
     n: int
@@ -96,8 +94,7 @@ class CHFamily:
         return len(self.chs)
 
 
-@dataclass(frozen=True)
-class VennSignature:
+class VennSignature(NamedTuple):
     """Cell sizes of the Venn diagram of an ordered family.
 
     cells[I] is the number of elements lying in exactly the members
@@ -113,16 +110,14 @@ class VennSignature:
         return sum(self.cells)
 
 
-@dataclass(frozen=True)
-class CompositionSolution:
+class CompositionSolution(NamedTuple):
     """Non-negative assignment to composition variables indexed by sets."""
 
     index_sets: tuple[int, ...]
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     k: int
     m: int

@@ -356,6 +356,39 @@ def test_measured_caps_refuse_the_next_size_at_once(argv, error, capsys):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("form", ["verify", "build"])
+def test_huge_spike_half_size_is_refused_before_any_shift(form, tmp_path):
+    # 1 << t at t = 2^40 would ask for 128 GB: the child runs under a 3 GB
+    # address-space limit, so a regression fails there and not here
+    t = 1 << 40
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"t": t, "picks": []}), encoding="utf-8")
+    argv = {
+        "verify": ["spike", "verify", "--k", "3", "--file", str(doc)],
+        "build": ["spike", "build", "--t", str(t)],
+    }[form]
+    probe = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from fractalcensus.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start < 1)\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        env=_env("1"),
+    )
+    assert done.returncode == 1
+    assert done.stdout == "True\n"
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert json.loads(done.stderr)["error"] == "TooLarge"
+
+
 @pytest.mark.parametrize("t, k", [(18, 8), (20, 9), (22, 10)])
 def test_sk_exminors_bound_cap(t, k, capsys):
     # k + 1 picks past the 8-index permutation tables
@@ -418,7 +451,7 @@ def test_package_import_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_env("1")
     )
     assert done.stdout.split() == ["False", "True", "AttributeError"]
-    assert len(fractalcensus.__all__) == 7
+    assert len(fractalcensus.__all__) == 6
 
 
 @pytest.mark.parametrize("exported, seen", [(None, "1"), ("2", "2")])
@@ -574,14 +607,24 @@ def test_failed_numpy_load_turns_the_collector_back_on(tmp_path):
 
 def test_cli_import_loads_every_module():
     # bench/tracerun.py rebinds traced functions only in the modules that
-    # `import fractalcensus.cli` has loaded, so cli keeps importing them all
-    probe = "import sys, fractalcensus.cli\nprint(*sys.modules)\n"
+    # `import fractalcensus.cli` has loaded, so cli keeps importing them all;
+    # what the import adds is read as a difference, so a module that a site
+    # hook loaded first is not counted
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import fractalcensus.cli\n"
+        "print(*set(sys.modules) - before)\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_env("1")
     )
-    loaded = set(done.stdout.split())
+    added = set(done.stdout.split())
     for module in ("kernel", "sparsepaving", "biasedlift", "gamma", "parallel"):
-        assert f"fractalcensus.{module}" in loaded
+        assert f"fractalcensus.{module}" in added
+    # the records are NamedTuples: dataclasses, and the inspect it pulls in,
+    # cost every process several milliseconds
+    assert not added & {"dataclasses", "inspect"}
 
 
 def _env(threads: str) -> dict:

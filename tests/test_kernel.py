@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import pickle
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -29,7 +31,7 @@ from fractalcensus.kernel import (
     OverlappingSets,
     RankOutOfRange,
     RankZero,
-    SetFamily,
+    RankedFlat,
     SizeOverflow,
     direct_sum,
     is_excluded_minor,
@@ -39,7 +41,22 @@ from fractalcensus.kernel import (
     relabel,
     uniform,
 )
-from fractalcensus.sparsepaving import ch_to_matroid, sp_excluded_minors
+from fractalcensus.biasedlift import (
+    GGraph,
+    GlanceKey,
+    LinearClass,
+    SpikeSpec,
+    StratumRow,
+)
+from fractalcensus.gamma import GammaRow, SlopeEstimate
+from fractalcensus.sparsepaving import (
+    CensusRow,
+    CHFamily,
+    CompositionSolution,
+    VennSignature,
+    ch_to_matroid,
+    sp_excluded_minors,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -493,13 +510,6 @@ def test_make_matroid_rejects_empty_and_mixed():
         make_matroid(25, [1])
     with pytest.raises(OutOfRange):
         make_matroid(2, [0b100])
-
-
-def test_set_family_contains_matches_member_scan():
-    fam = uniform(2, 5).circuits()
-    for mask in range(-1, 1 << 6):
-        assert (mask in fam) == (mask in set(fam.members))
-    assert SetFamily(3, ()).__contains__(0) is False
 
 
 def test_uniform_edges():
@@ -961,3 +971,48 @@ def test_subset_masks_match_combinations(n):
         got = subset_masks(n, size)
         assert got == want
         assert all(type(x) is int for x in got)
+
+
+# one instance of every record the package defines, with its repr
+_RECORDS = [
+    (RankedFlat(3, 1), "RankedFlat(flat=3, rank=1)"),
+    (CHFamily(4, 2, (3, 12)), "CHFamily(n=4, r=2, chs=(3, 12))"),
+    (VennSignature(2, (0, 2, 2, 0)), "VennSignature(k=2, cells=(0, 2, 2, 0))"),
+    (
+        CompositionSolution((3, 5), (1, 0)),
+        "CompositionSolution(index_sets=(3, 5), values=(1, 0))",
+    ),
+    (CensusRow(6, 1, 0, 7), "CensusRow(n=6, k=1, m=0, count=7)"),
+    (GGraph("cycle", 3, 0, 1), "GGraph(kind='cycle', t=3, s=0, p=1)"),
+    (LinearClass((3, 12)), "LinearClass(members=(3, 12))"),
+    (SpikeSpec(5, (3, 24)), "SpikeSpec(t=5, picks=(3, 24))"),
+    (GlanceKey(0, 0, (2, 3)), "GlanceKey(p=0, s=0, sig=(2, 3))"),
+    (
+        StratumRow(8, 2, "A", 4, 1, 3, "upper"),
+        "StratumRow(n=8, k=2, category='A', r=4, m=1, count=3, mode='upper')",
+    ),
+    (
+        GammaRow(6, 12, "exact", 1, "lower", Fraction(1, 13)),
+        "GammaRow(n=6, m_count=12, m_mode='exact', x_count=1, x_mode='lower', "
+        "gamma=Fraction(1, 13))",
+    ),
+    (
+        SlopeEstimate(2.0, (10, 40), 0.5),
+        "SlopeEstimate(exponent=2.0, window=(10, 40), residual=0.5)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, text", _RECORDS, ids=[type(record).__name__ for record, _ in _RECORDS]
+)
+def test_records_are_hashable_frozen_picklable_and_named(record, text):
+    # lru_cache keys, the process pool and error details rely on all four
+    hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
+    assert repr(record) == text
