@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import combinations, groupby
 from typing import Iterable, Iterator, NamedTuple
 
+from ._caps import CATALOG_K, CATALOG_N, EXACT_N, SK_EXMINORS_T, STRATA_N
 from ._lazy import np
 from .bitset import _subset_sizes, subset_index
 from .kernel import (
@@ -330,7 +331,7 @@ def _check_picks(t: int, picks: Iterable) -> tuple[int, ...]:
     """Parsed picks, deduplicated and sorted, once they pass the checks."""
     # refused before any 1 << t: no printed spike is larger, and a huge t
     # would ask for gigabytes
-    cap = max(_SK_EXMINOR_T_CAPS.values())
+    cap = max(filter(None, SK_EXMINORS_T.values()))
     if t > cap:
         raise TooLarge(f"spike half-size {t} above {cap}")
     picks = tuple(sorted(set(_parse_pick(t, p) for p in picks)))
@@ -447,6 +448,8 @@ def _glance_parts(desc) -> tuple[int, int, int, tuple[int, ...]]:
     if isinstance(desc, SpikeSpec):
         return desc.t, 0, 0, desc.picks
     t, s, p, picks = desc
+    if min(t, s, p) < 0:
+        raise OutOfRange(f"negative lift size ({t}, {s}, {p})")
     return t, s, p, _check_picks(t, picks)
 
 
@@ -527,14 +530,6 @@ def _family_from_cells(cells: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 
 # -- category catalogs -----------------------------------------------------------
-
-
-_CATALOG_N_CAP = 14
-_CATALOG_K_CAP = 6
-# k <= 2 keeps the seed's limit n <= 511, a CLI contract and not a storage
-# limit (_grow sizes cells by the largest); from k = 3 the cap is the largest
-# size measured to finish in 60 s and 1 GB at one thread (README "Size caps")
-_STRATA_N_CAPS = {3: 431, 4: 69, 5: 27, 6: 17}
 
 
 def _cycle_shapes(n: int) -> Iterator[tuple[int, int, int]]:
@@ -624,10 +619,10 @@ def categorize(m: Matroid, k: int) -> str | None:
     """
     if k < 0:
         raise OutOfRange(f"negative bound {k}")
-    if m.n > _CATALOG_N_CAP:
-        raise TooLargeForExact(f"ground size {m.n} above {_CATALOG_N_CAP}")
-    if k > _CATALOG_K_CAP:
-        raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
+    if m.n > CATALOG_N:
+        raise TooLargeForExact(f"ground size {m.n} above {CATALOG_N}")
+    if k > CATALOG_K:
+        raise TooLarge(f"bound {k} above {CATALOG_K}")
     for tag, rep in _category_catalog(m.n, k).get(m._invariant(), ()):
         if m.is_isomorphic(rep):
             return tag
@@ -653,10 +648,10 @@ def census_sk_exact(n: int, k: int) -> int:
     """Isomorphism classes of n-element members: the catalog's size."""
     if n < 0 or k < 0:
         raise OutOfRange("size and bound must be non-negative")
-    if n > 12:
-        raise TooLarge(f"exact census capped at 12 elements, got {n}")
-    if k > _CATALOG_K_CAP:
-        raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
+    if n > EXACT_N:
+        raise TooLarge(f"exact census capped at {EXACT_N} elements, got {n}")
+    if k > CATALOG_K:
+        raise TooLarge(f"bound {k} above {CATALOG_K}")
     return sum(len(reps) for reps in _category_catalog(n, k).values())
 
 
@@ -680,9 +675,9 @@ def check_strata_size(n: int, k: int) -> None:
     """Raise unless strata rows support size n at bound k."""
     if n < 0 or k < 0:
         raise OutOfRange("size and bound must be non-negative")
-    if k > _CATALOG_K_CAP:
-        raise TooLarge(f"bound {k} above {_CATALOG_K_CAP}")
-    cap = _STRATA_N_CAPS.get(k, 511)
+    if k not in STRATA_N:
+        raise TooLarge(f"bound {k} above {max(STRATA_N)}")
+    cap = STRATA_N[k]
     if n > cap:
         raise TooLarge(f"strata rows capped at {cap} elements at k = {k}, got {n}")
 
@@ -802,7 +797,7 @@ def sk_verify_mode(t: int, mode: str = "auto") -> str:
         raise OutOfRange(f"unknown mode {mode!r}")
     if mode != "auto":
         return mode
-    return "full" if 2 * t <= _CATALOG_N_CAP else "structural"
+    return "full" if 2 * t <= CATALOG_N else "structural"
 
 
 def verify_sk_excluded_minor(spec: SpikeSpec, k: int, mode: str = "auto") -> bool:
@@ -816,8 +811,8 @@ def verify_sk_excluded_minor(spec: SpikeSpec, k: int, mode: str = "auto") -> boo
     """
     n = 2 * spec.t
     if sk_verify_mode(spec.t, mode) == "full":
-        if n > _CATALOG_N_CAP:
-            raise TooLargeForFull(f"ground size {n} above {_CATALOG_N_CAP}")
+        if n > CATALOG_N:
+            raise TooLargeForFull(f"ground size {n} above {CATALOG_N}")
         m = spike_from_spec(spec)
         return is_excluded_minor(m, lambda q: categorize(q, k) is not None)
     m = len(spec.picks)
@@ -834,18 +829,12 @@ def verify_sk_excluded_minor(spec: SpikeSpec, k: int, mode: str = "auto") -> boo
     return True
 
 
-# the largest t measured to finish in 60 s and 1 GB at one thread (README
-# "Size caps"); at k = 2 the bottom equation has no variables, so any t is
-# instant
-_SK_EXMINOR_T_CAPS = {3: 850, 4: 23, 5: 17, 6: 17, 7: 17}
-
-
 def sk_excluded_minor_classes(t: int, k: int) -> list[SpikeSpec]:
     """Constructed excluded minors at half-size t, one per signature class."""
     # the k + 1 picks of each class must fit the 8-index permutation tables
-    if k > 7:
-        raise TooLarge(f"bound {k} above 7")
-    cap = _SK_EXMINOR_T_CAPS.get(k)
+    if k > max(SK_EXMINORS_T):
+        raise TooLarge(f"bound {k} above {max(SK_EXMINORS_T)}")
+    cap = SK_EXMINORS_T.get(k)
     if cap is not None and t > cap:
         raise TooLarge(f"excluded minors capped at t = {cap} at k = {k}, got {t}")
     out = []

@@ -37,6 +37,7 @@ from .biasedlift import (
     strata_csv,
     verify_sk_excluded_minor,
 )
+from ._caps import SLOPE_K, SLOPE_TOP
 from .gamma import gamma_csv, gamma_pk_table, gamma_sk_table, slope_fit
 from .bitset import mask_from
 from ._lazy import load_numpy
@@ -206,16 +207,12 @@ def _run_gamma_sk(args) -> int:
 
 
 _SERIES = {"eqn1": collar_solution_counts, "eqn2": bottom_solution_counts}
-# for either source, the largest k measured to finish a range to the top size
-# in 60 s and 1 GB, over a range from the smallest size (README "Size caps")
-_SLOPE_CAPS = (17, 1000)
 
 
 def _run_slope(args) -> int:
-    k_cap, top_cap = _SLOPE_CAPS
-    if args.k > k_cap or args.range[-1] > top_cap:
+    if args.k > SLOPE_K or args.range[-1] > SLOPE_TOP:
         raise TooLarge(
-            f"{args.source} series capped at k = {k_cap} and size {top_cap}"
+            f"{args.source} series capped at k = {SLOPE_K} and size {SLOPE_TOP}"
         )
     series = list(zip(args.range, _SERIES[args.source](args.range, args.k)))
     window = None

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+from ._caps import GAMMA_SK_T
 from ._lazy import np
 from .biasedlift import (
     TooLarge,
@@ -50,15 +51,16 @@ def _ratio(x: int, m: int) -> Fraction:
     return Fraction(x, m + x)
 
 
-def gamma_pk_table(k: int, sizes: Iterable[int]) -> list[GammaRow]:
+def gamma_pk_table(k: int, sizes: range) -> list[GammaRow]:
     """Boundary ratios for the sparse paving class at each size.
 
     Member counts are exact census values; excluded-minor counts come from
     the band sweep sp_excluded_minors and are lower bounds.
     """
-    # refuse the sweep's caps before the first row; the census reports a negative size
-    sizes = list(sizes)
-    exminor_shards(max([0, *sizes]), k)
+    if not isinstance(sizes, range) or sizes.step < 0:
+        raise OutOfRange("sizes must be an ascending range")
+    # the last size meets the sweep's caps first; a negative one reaches census_pk
+    exminor_shards(max([0, *sizes[-1:]]), k)
     rows = []
     for n in sizes:
         m = sum(row.count for row in census_pk(n, k))
@@ -67,13 +69,7 @@ def gamma_pk_table(k: int, sizes: Iterable[int]) -> list[GammaRow]:
     return rows
 
 
-# gamma sk runs one sk exminors per even size: the largest last t measured
-# over a range from t = 6 to finish in 60 s and 1 GB at one thread (README
-# "Size caps"); from k = 5 the strata caps are lower
-_GAMMA_SK_T_CAPS = {3: 155, 4: 22}
-
-
-def gamma_sk_table(k: int, half_sizes: Iterable[int]) -> list[GammaRow]:
+def gamma_sk_table(k: int, half_sizes: range) -> list[GammaRow]:
     """Boundary ratios for the spike-minor class over a half-size window.
 
     Rows run over every ground-set size from twice the smallest half-size
@@ -84,16 +80,18 @@ def gamma_sk_table(k: int, half_sizes: Iterable[int]) -> list[GammaRow]:
     """
     if k < 2:
         raise OutOfRange(f"spike-minor ratios need bound >= 2, got {k}")
-    ts = sorted(set(int(t) for t in half_sizes))
-    if not ts:
+    if not isinstance(half_sizes, range) or half_sizes.step < 0:
+        raise OutOfRange("half-sizes must be an ascending range")
+    if not half_sizes:
         return []
     # the largest size is the last row: refuse it before the first
-    check_strata_size(2 * ts[-1], k)
-    cap = _GAMMA_SK_T_CAPS.get(k)
-    if cap is not None and ts[-1] > cap:
+    lo, hi = half_sizes[0], half_sizes[-1]
+    check_strata_size(2 * hi, k)
+    cap = GAMMA_SK_T.get(k)
+    if cap is not None and hi > cap:
         raise TooLarge(f"spike-minor ratios capped at t = {cap} at k = {k}")
     rows = []
-    for n in range(2 * ts[0], 2 * ts[-1] + 1):
+    for n in range(2 * lo, 2 * hi + 1):
         m = strata_total(strata_rows(n, k))
         x = 0
         if n % 2 == 0:

@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, NamedTuple
 
+from ._caps import SP_CENSUS_N, SP_EXMINORS_N, SWEEP_N
 from ._lazy import np
 from .bitset import bits, subset_index
 from .kernel import (
@@ -401,20 +402,14 @@ def _family_levels(n: int, r: int, k: int, top: int) -> list[list[tuple[int, ...
     return _grow(first, top, _perm_cell_maps, bounds, keep)
 
 
-# k <= 2 keeps the seed's limit n <= 256, a CLI contract and not a storage
-# limit (_grow sizes cells by the largest); from k = 3 the cap is the largest
-# size measured to finish in 60 s and 1 GB at one thread (README "Size caps")
-_CENSUS_N_CAPS = {3: 137, 4: 28, 5: 13, 6: 10}
-
-
 def census_pk(n: int, k: int) -> list[CensusRow]:
     """Isomorphism-class counts of sparse paving matroids with at most k
     circuit-hyperplanes, one row per exact count m."""
     if n < 0 or k < 0:
         raise OutOfRange("size and bound must be non-negative")
-    if k > 6:
-        raise BoundTooLarge("census strata cap at k = 6")
-    cap = _CENSUS_N_CAPS.get(k, 256)
+    if k not in SP_CENSUS_N:
+        raise BoundTooLarge(f"census strata cap at k = {max(SP_CENSUS_N)}")
+    cap = SP_CENSUS_N[k]
     if n > cap:
         raise BoundTooLarge(f"census caps at n = {cap} at k = {k}")
     counts = [0] * k
@@ -552,22 +547,18 @@ def pk_member(m: Matroid, k: int) -> bool:
     return m.is_sparse_paving() and len(m.circuit_hyperplanes()) <= k
 
 
-# the sweep takes n <= 16 at every k, and k <= 3 stays fast to there; at k = 4
-# the cap is the largest size measured to finish in 60 s and 1 GB at one
-# thread (README "Size caps")
-_EXMINOR_K4_N_CAP = 9
-
-
 def exminor_shards(n: int, k: int) -> list[tuple[int, int, int]]:
     """Independent (n, k, r) work units for the excluded-minor sweep."""
-    if not 1 <= k <= 4:
-        raise BoundTooLarge("excluded-minor sweep needs 1 <= k <= 4")
+    if k not in SP_EXMINORS_N:
+        lo, hi = min(SP_EXMINORS_N), max(SP_EXMINORS_N)
+        raise BoundTooLarge(f"excluded-minor sweep needs {lo} <= k <= {hi}")
     if n < 0:
         raise OutOfRange(f"negative size {n}")
-    if n > 16:
-        raise BoundTooLarge("excluded-minor sweep caps at n = 16")
-    if k == 4 and n > _EXMINOR_K4_N_CAP:
-        raise BoundTooLarge(f"excluded-minor sweep caps at n = {_EXMINOR_K4_N_CAP} at k = 4")
+    cap = SP_EXMINORS_N[k]
+    if n > SWEEP_N:
+        raise BoundTooLarge(f"excluded-minor sweep caps at n = {SWEEP_N}")
+    if n > cap:
+        raise BoundTooLarge(f"excluded-minor sweep caps at n = {cap} at k = {k}")
     return [(n, k, r) for r in range(2, n - 1)]
 
 

@@ -609,6 +609,23 @@ def test_half_size_past_the_printed_cap_is_refused_before_any_shift():
             glance_signature((t, 0, 0, [0, 3]))
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        (-1, 0, 0, []),
+        (6, 0, -2, [0, 3]),
+        (6, -1, 0, [0, 3]),
+        (-(1 << 63), 0, 0, [0, 3]),
+        (6, 0, -(1 << 63), [0, 3]),
+    ],
+)
+def test_glance_refuses_a_negative_lift_size_before_the_picks(desc):
+    # a negative t would reach 1 << t in _check_picks, and a negative p
+    # would pass into the key
+    with pytest.raises(OutOfRange, match="negative lift size"):
+        glance_signature(desc)
+
+
 def test_glance_isomorphic_pairs():
     assert glance_isomorphic(spike_spec(5, [0, 3]), spike_spec(5, [31, 28]))
     assert not glance_isomorphic(spike_spec(5, [0, 7]), spike_spec(5, [0, 3]))

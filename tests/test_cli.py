@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalcensus
+from fractalcensus import _caps
 from fractalcensus.cli import main
 from fractalcensus.kernel import (
     MatroidError,
@@ -117,12 +119,13 @@ def test_malformed_documents_exit_cleanly(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "MalformedDocument"
 
 
-def _exit_one(argv, capsys) -> str:
+def _exit_one(argv, capsys) -> dict:
+    """The JSON error document of a CLI run that must exit 1."""
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    return json.loads(captured.err)["error"]
+    return json.loads(captured.err)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -146,18 +149,18 @@ def test_documents_of_the_wrong_json_type_exit_cleanly(
     path.write_text(text, encoding="utf-8")
     argv = [*command.split(), "--file", str(path)]
     with mock.patch.dict(os.environ, {"FRACTAL_THREADS": threads}):
-        assert _exit_one(argv, capsys) == "MalformedDocument"
+        assert _exit_one(argv, capsys)["error"] == "MalformedDocument"
 
 
 def test_bad_element_lists_exit_cleanly(u24_file, capsys):
     argv = ["matroid", "minor", "--file", u24_file]
-    assert _exit_one(argv + ["--delete", "x"], capsys) == "BadElementList"
-    assert _exit_one(argv + ["--delete", "-1"], capsys) == "OutOfRange"
-    assert _exit_one(argv + ["--contract", "4"], capsys) == "OutOfRange"
+    assert _exit_one(argv + ["--delete", "x"], capsys)["error"] == "BadElementList"
+    assert _exit_one(argv + ["--delete", "-1"], capsys)["error"] == "OutOfRange"
+    assert _exit_one(argv + ["--contract", "4"], capsys)["error"] == "OutOfRange"
     # int() would read "1_0" as 10, and " 1" or a fullwidth or Arabic-Indic 1 as 1
     bad = ["1_0", "0_1", " 1", "1 ", "\uff11", "0,\uff11", "\u0661", "+-1", "1,,2"]
     for text in bad:
-        assert _exit_one(argv + ["--delete", text], capsys) == "BadElementList"
+        assert _exit_one(argv + ["--delete", text], capsys)["error"] == "BadElementList"
 
 
 @pytest.mark.parametrize(
@@ -175,11 +178,11 @@ def test_element_lists_read_signed_ascii_integers(
 def test_missing_files_exit_cleanly(u24_file, tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     argv = ["matroid", "validate", "--file", missing]
-    assert _exit_one(argv, capsys) == "UnreadableFile"
+    assert _exit_one(argv, capsys)["error"] == "UnreadableFile"
     argv = ["matroid", "iso", "--a", missing, "--b", u24_file]
-    assert _exit_one(argv, capsys) == "UnreadableFile"
+    assert _exit_one(argv, capsys)["error"] == "UnreadableFile"
     argv = ["matroid", "iso", "--a", u24_file, "--b", missing]
-    assert _exit_one(argv, capsys) == "UnreadableFile"
+    assert _exit_one(argv, capsys)["error"] == "UnreadableFile"
 
 
 def test_spike_verify_exit_codes(tmp_path, capsys):
@@ -253,7 +256,7 @@ def test_slope_zero_count_is_degenerate_at_once(capsys):
     # eqn1 has no solution at n = 2k + 3, and the series is one DP row
     start = time.perf_counter()
     argv = ["slope", "--source", "eqn1", "--k", "9", "--range", "20..1000"]
-    assert _exit_one(argv, capsys) == "DegenerateSeries"
+    assert _exit_one(argv, capsys)["error"] == "DegenerateSeries"
     assert time.perf_counter() - start < 5
 
 
@@ -275,15 +278,15 @@ def test_huge_element_rejected_before_shift(tmp_path, capsys):
     assert err["error"] == "OutOfRange"
     assert "400000000" in err["detail"] and len(err["detail"]) < 200
     bad.write_text('{"n": 400, "rank": 1, "bases": [[0]]}', encoding="utf-8")
-    assert _exit_one(argv, capsys) == "SizeOverflow"
+    assert _exit_one(argv, capsys)["error"] == "SizeOverflow"
 
 
 def test_unwritable_out_exits_cleanly(u24_file, tmp_path, capsys):
     target = str(tmp_path / "missing-dir" / "x.json")
     argv = ["matroid", "dual", "--file", u24_file, "--out", target]
-    assert _exit_one(argv, capsys) == "UnwritableFile"
+    assert _exit_one(argv, capsys)["error"] == "UnwritableFile"
     argv = ["spike", "build", "--t", "4", "--picks", "0011,1100", "--out", target]
-    assert _exit_one(argv, capsys) == "UnwritableFile"
+    assert _exit_one(argv, capsys)["error"] == "UnwritableFile"
 
 
 @pytest.mark.parametrize(
@@ -297,79 +300,130 @@ def test_unwritable_out_exits_cleanly(u24_file, tmp_path, capsys):
     ],
 )
 def test_negative_sizes_and_bounds_exit_cleanly(argv, capsys):
-    assert _exit_one(argv, capsys) == "OutOfRange"
+    assert _exit_one(argv, capsys)["error"] == "OutOfRange"
 
 
-def test_gamma_sk_keeps_strata_bound_cap(capsys):
-    argv = ["gamma", "sk", "--k", "7", "--t", "6..7"]
-    assert _exit_one(argv, capsys) == "TooLarge"
+# each capped CLI route: its README "Size caps" label (None where another
+# route's row stands for it), the table row that caps it, an argv template
+# ({n} a size, {t} = n // 2 a half-size), its error, and the (bound, size)
+# runs past the row's keys, each size inside every limit
+_STRATA_T = {k: n for k, n in _caps.STRATA_N.items() if k >= 2}
+_SLOPE = {_caps.SLOPE_K: _caps.SLOPE_TOP}
+_CAPPED_ROUTES = [
+    (
+        "`sp census`",
+        _caps.SP_CENSUS_N,
+        "sp census --n {n} --k {k}",
+        "BoundTooLarge",
+        [(7, 8)],
+    ),
+    (
+        "`sp exminors`",
+        _caps.SP_EXMINORS_N,
+        "sp exminors --n {n} --k {k}",
+        "BoundTooLarge",
+        [(5, 8)],
+    ),
+    (
+        None,
+        _caps.SP_EXMINORS_N,
+        "gamma pk --k {k} --n 8..{n}",
+        "BoundTooLarge",
+        [(5, 8)],
+    ),
+    (
+        "strata rows",
+        _caps.STRATA_N,
+        "sk census --n {n} --k {k} --mode strata",
+        "TooLarge",
+        [(7, 14)],
+    ),
+    # the last row is past the cap: refused before the first is built
+    (None, _STRATA_T, "gamma sk --k {k} --t 6..{t}", "TooLarge", [(7, 14)]),
+    (None, _STRATA_T, "gamma sk --k {k} --t {t}..{t}", "TooLarge", []),
+    # k + 1 picks past the 8-index permutation tables
+    (
+        "`sk exminors`",
+        _caps.SK_EXMINORS_T,
+        "sk exminors --t {n} --k {k}",
+        "TooLarge",
+        [(8, 18), (9, 20), (10, 22)],
+    ),
+    ("`gamma sk`", _caps.GAMMA_SK_T, "gamma sk --k {k} --t 6..{n}", "TooLarge", []),
+    (
+        "`slope` eqn1",
+        _SLOPE,
+        "slope --source eqn1 --k {k} --range 60..{n}",
+        "TooLarge",
+        [(18, 300)],
+    ),
+    (
+        "`slope` eqn2",
+        _SLOPE,
+        "slope --source eqn2 --k {k} --range 50..{n}",
+        "TooLarge",
+        [(18, 200)],
+    ),
+]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gamma", "sk", "--k", "2", "--t", "256..256"],
-        ["sk", "census", "--n", "512", "--k", "2", "--mode", "strata"],
-    ],
-)
-def test_strata_size_cap(argv, capsys):
-    assert _exit_one(argv, capsys) == "TooLarge"
+def _past_cap_cases():
+    """One size past each limit of the table, and each bound past a row."""
+    for _, row, template, error, past_keys in _CAPPED_ROUTES:
+        runs = [(k, cap + 1, cap) for k, cap in row.items() if cap is not None]
+        runs += [(k, n, max(row)) for k, n in past_keys]
+        for k, n, limit in runs:
+            argv = template.format(k=k, n=n, t=n // 2)
+            yield pytest.param(argv.split(), error, limit, id=argv)
 
 
-def test_sp_census_size_cap(capsys):
-    argv = ["sp", "census", "--n", "257", "--k", "2"]
-    assert _exit_one(argv, capsys) == "BoundTooLarge"
-
-
-@pytest.mark.parametrize(
-    "argv, error",
-    [
-        (["sp", "census", "--n", "138", "--k", "3"], "BoundTooLarge"),
-        (["sp", "census", "--n", "29", "--k", "4"], "BoundTooLarge"),
-        (["sp", "census", "--n", "14", "--k", "5"], "BoundTooLarge"),
-        (["sp", "census", "--n", "11", "--k", "6"], "BoundTooLarge"),
-        (["sp", "exminors", "--n", "10", "--k", "4"], "BoundTooLarge"),
-        (["gamma", "pk", "--k", "4", "--n", "8..10"], "BoundTooLarge"),
-        (["sk", "census", "--n", "432", "--k", "3", "--mode", "strata"], "TooLarge"),
-        (["sk", "census", "--n", "70", "--k", "4", "--mode", "strata"], "TooLarge"),
-        (["sk", "census", "--n", "28", "--k", "5", "--mode", "strata"], "TooLarge"),
-        (["sk", "census", "--n", "18", "--k", "6", "--mode", "strata"], "TooLarge"),
-        # the last row is past the cap: refused before the first is built
-        (["gamma", "sk", "--k", "6", "--t", "6..9"], "TooLarge"),
-        (["sk", "exminors", "--t", "851", "--k", "3"], "TooLarge"),
-        (["sk", "exminors", "--t", "24", "--k", "4"], "TooLarge"),
-        (["sk", "exminors", "--t", "18", "--k", "5"], "TooLarge"),
-        (["sk", "exminors", "--t", "18", "--k", "6"], "TooLarge"),
-        (["sk", "exminors", "--t", "18", "--k", "7"], "TooLarge"),
-        (["gamma", "sk", "--k", "3", "--t", "6..156"], "TooLarge"),
-        (["gamma", "sk", "--k", "4", "--t", "6..23"], "TooLarge"),
-        (["slope", "--source", "eqn1", "--k", "18", "--range", "60..300"], "TooLarge"),
-        (["slope", "--source", "eqn1", "--k", "17", "--range", "60..1001"], "TooLarge"),
-        (["slope", "--source", "eqn2", "--k", "18", "--range", "50..200"], "TooLarge"),
-        (["slope", "--source", "eqn2", "--k", "17", "--range", "50..1001"], "TooLarge"),
-    ],
-)
-def test_measured_caps_refuse_the_next_size_at_once(argv, error, capsys):
-    # one size past the largest measured to finish in 60 s and 1 GB
+@pytest.mark.parametrize("argv, error, limit", _past_cap_cases())
+def test_measured_caps_refuse_the_next_size_at_once(argv, error, limit, capsys):
+    # one size past the largest measured to finish in 60 s and 1 GB (or past
+    # the seed's limit); the detail names the limit the table holds, so a
+    # routine that kept its own number fails here
     start = time.perf_counter()
-    assert _exit_one(argv, capsys) == error
+    doc = _exit_one(argv, capsys)
     assert time.perf_counter() - start < 1
+    assert doc["error"] == error
+    assert re.search(rf"\b{limit}\b", doc["detail"])
 
 
-@pytest.mark.parametrize("form", ["verify", "build"])
-def test_huge_spike_half_size_is_refused_before_any_shift(form, tmp_path):
-    # 1 << t at t = 2^40 would ask for 128 GB: the child runs under a 3 GB
-    # address-space limit, so a regression fails there and not here
-    t = 1 << 40
-    doc = tmp_path / "huge.json"
-    doc.write_text(json.dumps({"t": t, "picks": []}), encoding="utf-8")
-    argv = {
-        "verify": ["spike", "verify", "--k", "3", "--file", str(doc)],
-        "build": ["spike", "build", "--t", str(t)],
-    }[form]
+def test_readme_size_caps_table_matches_the_cap_table():
+    # one README row per limit; a "≤ m" row covers every key up to m, and m
+    # must be a key
+    rows = {
+        label: {k: n for k, n in row.items() if n is not None}
+        for label, row, *_ in _CAPPED_ROUTES
+        if label is not None
+    }
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Size caps\n")[1]
+    shown = {}
+    for line in section.split("\n## ")[0].splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        row = rows.get(cells[0])
+        if not line.startswith("|") or row is None:
+            continue
+        top = int(cells[1].removeprefix("≤ "))
+        assert top in row, line
+        keys = [k for k in row if k <= top] if cells[1].startswith("≤") else [top]
+        for k in keys:
+            assert (cells[0], k) not in shown, line
+            shown[cells[0], k] = int(re.search(r"[0-9]+$", cells[2]).group())
+    assert shown == {
+        (label, k): n for label, row in rows.items() for k, n in row.items()
+    }
+
+
+def _refused_under_address_limit(argv: list[str], gigabytes: int) -> str:
+    """Error name of a CLI child run under an address-space limit, which must
+    exit 1 within 1 s with one JSON line: a regression that builds something
+    huge fails in the child, not here."""
     probe = (
         "import resource, sys, time\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        f"limit = {gigabytes} << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
         "from fractalcensus.cli import main\n"
         "start = time.perf_counter()\n"
         "code = main(sys.argv[1:])\n"
@@ -386,25 +440,33 @@ def test_huge_spike_half_size_is_refused_before_any_shift(form, tmp_path):
     assert done.stdout == "True\n"
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) == 1
-    assert json.loads(done.stderr)["error"] == "TooLarge"
+    return json.loads(done.stderr)["error"]
 
 
-@pytest.mark.parametrize("t, k", [(18, 8), (20, 9), (22, 10)])
-def test_sk_exminors_bound_cap(t, k, capsys):
-    # k + 1 picks past the 8-index permutation tables
-    argv = ["sk", "exminors", "--t", str(t), "--k", str(k)]
-    assert _exit_one(argv, capsys) == "TooLarge"
+@pytest.mark.parametrize("form", ["verify", "build"])
+def test_huge_spike_half_size_is_refused_before_any_shift(form, tmp_path):
+    # 1 << t at t = 2^40 would ask for 128 GB
+    t = 1 << 40
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"t": t, "picks": []}), encoding="utf-8")
+    argv = {
+        "verify": ["spike", "verify", "--k", "3", "--file", str(doc)],
+        "build": ["spike", "build", "--t", str(t)],
+    }[form]
+    assert _refused_under_address_limit(argv, 3) == "TooLarge"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["sp", "exminors", "--n", "8", "--k", "5"],
-        ["gamma", "pk", "--k", "5", "--n", "8..8"],
+        (["gamma", "pk", "--k", "3", "--n", f"8..{1 << 40}"], "BoundTooLarge"),
+        (["gamma", "sk", "--k", "2", "--t", "6..100000000"], "TooLarge"),
+        (["gamma", "sk", "--k", "2", "--t", f"6..{1 << 40}"], "TooLarge"),
     ],
 )
-def test_exminor_sweep_bound_cap(argv, capsys):
-    assert _exit_one(argv, capsys) == "BoundTooLarge"
+def test_huge_gamma_ranges_are_refused_before_any_row(argv, error):
+    # the range's last size is checked before a list or set of it is built
+    assert _refused_under_address_limit(argv, 2) == error
 
 
 @pytest.mark.parametrize(

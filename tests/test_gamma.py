@@ -19,7 +19,7 @@ from fractalcensus.sparsepaving import BoundTooLarge
 
 
 def test_pk_anchor_row():
-    rows = gamma_pk_table(1, [6])
+    rows = gamma_pk_table(1, range(6, 7))
     assert rows == [GammaRow(6, 12, "exact", 1, "lower", Fraction(1, 13))]
 
 
@@ -50,14 +50,34 @@ def test_sk_table_rows_and_odd_sizes():
     for r in rows:
         assert r.m_mode == "upper" and r.x_mode == "lower"
     with pytest.raises(OutOfRange):
-        gamma_sk_table(1, [6])
+        gamma_sk_table(1, range(6, 7))
     with pytest.raises(TooLarge):
-        gamma_sk_table(7, [6])
-    assert gamma_sk_table(2, []) == []
+        gamma_sk_table(7, range(6, 7))
+    assert gamma_sk_table(2, range(6, 6)) == []
+
+
+@pytest.mark.parametrize(
+    "table, sizes",
+    [
+        (gamma_pk_table, [8, 20]),
+        (gamma_pk_table, range(9, 7, -1)),
+        (gamma_pk_table, iter(range(8, 10))),
+        (gamma_sk_table, [10, 6]),
+        (gamma_sk_table, range(10, 5, -1)),
+    ],
+)
+def test_tables_refuse_anything_but_an_ascending_range(table, sizes, monkeypatch):
+    # the caps read only the last size, so no other sequence is taken
+    def census(n, k):
+        raise AssertionError("census ran before the range check")
+
+    monkeypatch.setattr(gamma, "census_pk", census)
+    with pytest.raises(OutOfRange):
+        table(2, sizes)
 
 
 def test_gamma_csv_format():
-    text = gamma_csv(gamma_pk_table(1, [6, 7]))
+    text = gamma_csv(gamma_pk_table(1, range(6, 8)))
     lines = text.splitlines()
     assert lines[0] == "n,m_count,m_mode,x_count,x_mode,gamma_num,gamma_den,gamma"
     assert lines[1] == "6,12,exact,1,lower,1,13,0.076923076923"
@@ -112,7 +132,7 @@ def test_pk_table_checks_sweep_bound_before_census(monkeypatch):
 
     monkeypatch.setattr(gamma, "census_pk", census)
     with pytest.raises(BoundTooLarge):
-        gamma_pk_table(5, [8])
+        gamma_pk_table(5, range(8, 9))
 
 
 def test_pk_table_checks_last_size_before_census(monkeypatch):
