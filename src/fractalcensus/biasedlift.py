@@ -31,7 +31,6 @@ from .kernel import (
     INT,
     MAX_GROUND,
     PICKS,
-    STR,
     Matroid,
     MatroidError,
     OutOfRange,
@@ -362,6 +361,8 @@ def pick_string(t: int, pick: int) -> str:
 
 
 def spike_spec(t: int, picks: Iterable) -> SpikeSpec:
+    if t < 0:
+        raise OutOfRange(f"negative spike rank {t}")
     if t < 3:
         raise TooSmall(f"spike rank {t} below 3")
     return SpikeSpec(t, _check_picks(t, picks))
@@ -749,6 +750,8 @@ def strata_csv(rows: list[StratumRow]) -> str:
 
 def bottom_index_sets(k: int) -> tuple[int, ...]:
     """Index-set masks with 1..k-2 of the k bits set, ascending."""
+    if k < 0:
+        raise OutOfRange(f"negative bound {k}")
     if k < 2:
         raise TooSmall(f"bound {k} below 2")
     return tuple(m for m in range(1, 1 << k) if 1 <= m.bit_count() <= k - 2)
@@ -757,6 +760,8 @@ def bottom_index_sets(k: int) -> tuple[int, ...]:
 def _bottom_equation(t: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Index sets, unit weights and total t - 2(k+1) of the bottom equation."""
     sets = bottom_index_sets(k)
+    if t < 0:
+        raise OutOfRange(f"negative half-size {t}")
     if t < 2 * (k + 1):
         raise TooSmall(f"half-size {t} below 2(k+1) = {2 * (k + 1)}")
     return sets, (1,) * len(sets), t - 2 * (k + 1)
@@ -809,6 +814,8 @@ def verify_sk_excluded_minor(spec: SpikeSpec, k: int, mode: str = "auto") -> boo
     at least two, and every element lying in at least max(1, m-k) and at
     most k picks, so both single-element minors drop to at most k.
     """
+    if k < 0:
+        raise OutOfRange(f"negative bound {k}")
     n = 2 * spec.t
     if sk_verify_mode(spec.t, mode) == "full":
         if n > CATALOG_N:
@@ -849,16 +856,6 @@ def sk_excluded_minor_classes(t: int, k: int) -> list[SpikeSpec]:
 
 
 # -- serialization ----------------------------------------------------------------
-
-
-def ggraph_to_json(g: GGraph) -> str:
-    doc = {"kind": g.kind, "t": g.t, "s": g.s, "p": g.p}
-    return json.dumps(doc) + "\n"
-
-
-def ggraph_from_json(text: str) -> GGraph:
-    doc = read_document(text, "graph", {"kind": STR, "t": INT, "s": INT, "p": INT})
-    return ggraph(doc["kind"], doc["t"], doc["s"], doc["p"])
 
 
 def spikespec_to_json(spec: SpikeSpec) -> str:

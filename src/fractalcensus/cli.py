@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 # One OpenBLAS thread unless the user exported a count: the package's only
 # BLAS call (the float64 degree product in kernel) gains nothing from a
@@ -104,18 +105,24 @@ def _picks_arg(text: str) -> list[str]:
     return [p for p in text.split(",") if p]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise UnwritableFile(f"cannot write {out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _emit(pieces: Iterable[str], out: str | None = None) -> None:
+    """Write the text pieces to stdout, or to the file ``out``."""
+    if not out:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {out}: {exc}") from exc
 
 
-def _print_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc) + "\n")
+def _json_list(texts: Iterable[str]) -> Iterator[str]:
+    """json.dumps's text for the list of one-line documents, piece by piece."""
+    yield "["
+    for i, text in enumerate(texts):
+        yield (", " if i else "") + text[:-1]
+    yield "]\n"
 
 
 # -- handlers -------------------------------------------------------------------
@@ -123,38 +130,39 @@ def _print_json(doc: dict) -> None:
 
 def _run_matroid_validate(args) -> int:
     m = matroid_from_json(_read(args.file))
-    _print_json({"ok": True, "n": m.n, "rank": m.r, "bases": len(m.basis_array)})
+    doc = {"ok": True, "n": m.n, "rank": m.r, "bases": len(m.basis_array)}
+    _emit([json.dumps(doc) + "\n"])
     return 0
 
 
 def _run_matroid_iso(args) -> int:
     a = matroid_from_json(_read(args.a))
     b = matroid_from_json(_read(args.b))
-    _print_json({"isomorphic": a.is_isomorphic(b)})
+    _emit([json.dumps({"isomorphic": a.is_isomorphic(b)}) + "\n"])
     return 0
 
 
 def _run_matroid_minor(args) -> int:
     m = matroid_from_json(_read(args.file))
     got = m.minor(_element_mask(args.delete, m.n), _element_mask(args.contract, m.n))
-    _emit(matroid_to_json(got), args.out)
+    _emit([matroid_to_json(got)], args.out)
     return 0
 
 
 def _run_matroid_dual(args) -> int:
     m = matroid_from_json(_read(args.file))
-    _emit(matroid_to_json(m.dual()), args.out)
+    _emit([matroid_to_json(m.dual())], args.out)
     return 0
 
 
 def _run_sp_census(args) -> int:
-    _emit(census_csv(census_pk(args.n, args.k)), args.out)
+    _emit([census_csv(census_pk(args.n, args.k))], args.out)
     return 0
 
 
 def _run_sp_exminors(args) -> int:
-    docs = [json.loads(chfamily_to_json(f)) for f in sp_excluded_minors(args.n, args.k)]
-    _emit(json.dumps(docs) + "\n", args.out)
+    families = sp_excluded_minors(args.n, args.k)
+    _emit(_json_list(map(chfamily_to_json, families)), args.out)
     return 0
 
 
@@ -167,7 +175,7 @@ def _run_spike_build(args) -> int:
     spec = spike_spec(args.t, args.picks)
     doc = json.loads(spikespec_to_json(spec))
     doc.update(json.loads(matroid_to_json(spike_from_spec(spec))))
-    _emit(json.dumps(doc) + "\n", args.out)
+    _emit([json.dumps(doc) + "\n"], args.out)
     return 0
 
 
@@ -175,34 +183,32 @@ def _run_spike_verify(args) -> int:
     spec = spikespec_from_json(_read(args.file))
     mode = sk_verify_mode(spec.t, args.mode)
     ok = verify_sk_excluded_minor(spec, args.k, mode=mode)
-    _print_json(
-        {"excluded_minor": ok, "mode": mode, **json.loads(spikespec_to_json(spec))}
-    )
+    doc = {"excluded_minor": ok, "mode": mode, **json.loads(spikespec_to_json(spec))}
+    _emit([json.dumps(doc) + "\n"])
     return 0 if ok else 1
 
 
 def _run_sk_census(args) -> int:
     if args.mode == "exact":
-        _emit(f"{census_sk_exact(args.n, args.k)}\n", args.out)
+        _emit([f"{census_sk_exact(args.n, args.k)}\n"], args.out)
     else:
-        _emit(strata_csv(census_sk_strata(args.n, args.k)), args.out)
+        _emit([strata_csv(census_sk_strata(args.n, args.k))], args.out)
     return 0
 
 
 def _run_sk_exminors(args) -> int:
     specs = sk_excluded_minor_classes(args.t, args.k)
-    docs = [json.loads(spikespec_to_json(spec)) for spec in specs]
-    _emit(json.dumps(docs) + "\n", args.out)
+    _emit(_json_list(map(spikespec_to_json, specs)), args.out)
     return 0
 
 
 def _run_gamma_pk(args) -> int:
-    _emit(gamma_csv(gamma_pk_table(args.k, args.n)), args.out)
+    _emit([gamma_csv(gamma_pk_table(args.k, args.n))], args.out)
     return 0
 
 
 def _run_gamma_sk(args) -> int:
-    _emit(gamma_csv(gamma_sk_table(args.k, args.t)), args.out)
+    _emit([gamma_csv(gamma_sk_table(args.k, args.t))], args.out)
     return 0
 
 
@@ -219,15 +225,14 @@ def _run_slope(args) -> int:
     if args.window is not None:
         window = (args.window.start, args.window.stop - 1)
     est = slope_fit(series, window=window)
-    _print_json(
-        {
-            "source": args.source,
-            "k": args.k,
-            "exponent": est.exponent,
-            "window": [est.window[0], est.window[1]],
-            "residual": est.residual,
-        }
-    )
+    doc = {
+        "source": args.source,
+        "k": args.k,
+        "exponent": est.exponent,
+        "window": [est.window[0], est.window[1]],
+        "residual": est.residual,
+    }
+    _emit([json.dumps(doc) + "\n"])
     return 0
 
 

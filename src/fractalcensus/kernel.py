@@ -582,11 +582,10 @@ def _is_int(value) -> bool:
 
 
 # the shapes of document fields, named as their error details name them
-INT, STR = "an integer", "a string"
+INT = "an integer"
 ROWS, PICKS = "a list of integer lists", "a list of integers and strings"
 _SHAPES = {
     INT: _is_int,
-    STR: lambda v: type(v) is str,
     ROWS: lambda v: type(v) is list
     and all(type(row) is list and all(map(_is_int, row)) for row in v),
     PICKS: lambda v: type(v) is list and all(_is_int(p) or type(p) is str for p in v),

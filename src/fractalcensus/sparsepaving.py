@@ -501,6 +501,8 @@ def collar_index_sets(k: int) -> tuple[int, ...]:
 def _collar_equation(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Index sets, weights k + 2 - |I| and total n - 2(k+1) of the equation."""
     index_sets = collar_index_sets(k)
+    if n < 0:
+        raise OutOfRange(f"negative size {n}")
     if n < 2 * (k + 1):
         raise TooSmall(f"need n >= {2 * (k + 1)}")
     weights = tuple(k + 2 - mask.bit_count() for mask in index_sets)

@@ -61,8 +61,6 @@ from fractalcensus.biasedlift import (
     dual_spec,
     duality_check,
     ggraph,
-    ggraph_from_json,
-    ggraph_to_json,
     glance_isomorphic,
     glance_signature,
     ham_class,
@@ -1442,13 +1440,6 @@ def test_sk_excluded_minor_classes_dedup():
 # -- serialization ---------------------------------------------------------------------
 
 
-def test_ggraph_json_round_trip():
-    for g in [ggraph(CYCLE, 2, 1, 3), ggraph(TWO, 1, 2, 0), ggraph(SINGLE, 0, 0, 2)]:
-        assert ggraph_from_json(ggraph_to_json(g)) == g
-    doc = json.loads(ggraph_to_json(ggraph(CYCLE, 2, 1, 3)))
-    assert doc == {"kind": "cycle", "t": 2, "s": 1, "p": 3}
-
-
 def test_spikespec_json_round_trip():
     spec = spike_spec(4, [0b0011, 0b1100])
     text = spikespec_to_json(spec)
@@ -1464,16 +1455,6 @@ def test_document_parsers_reject_malformed():
         spikespec_from_json('{"picks": ["0011"]}')
     with pytest.raises(MalformedDocument):
         spikespec_from_json("not json")
-    with pytest.raises(MalformedDocument):
-        ggraph_from_json('{"kind": "cycle", "t": 3}')
-
-
-def test_graph_reader_refuses_wrong_json_types():
-    doc = json.loads(ggraph_to_json(ggraph(CYCLE, 2, 1, 3)))
-    positions = {("kind",): (str,), ("t",): (int,), ("s",): (int,), ("p",): (int,)}
-    assert misfits_read(ggraph_from_json, doc, positions) == []
-    with pytest.raises(MalformedDocument):
-        ggraph_from_json('{"kind": ["cycle"], "t": 2, "s": 1, "p": 3}')
 
 
 def test_spike_reader_takes_binary_strings_and_json_integers():

@@ -1,5 +1,6 @@
 """Command-line dispatch, exit codes, and output formats."""
 import contextlib
+import functools
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalcensus
-from fractalcensus import _caps
+from fractalcensus import _caps, cli
 from fractalcensus.cli import main
 from fractalcensus.kernel import (
     MatroidError,
@@ -22,7 +24,12 @@ from fractalcensus.kernel import (
     matroid_to_json,
     uniform,
 )
-from fractalcensus.biasedlift import spike, spikespec_from_json
+from fractalcensus.biasedlift import (
+    spike,
+    spike_spec,
+    spikespec_from_json,
+    spikespec_to_json,
+)
 from fractalcensus.sparsepaving import chfamily_from_json
 
 
@@ -283,10 +290,78 @@ def test_huge_element_rejected_before_shift(tmp_path, capsys):
 
 def test_unwritable_out_exits_cleanly(u24_file, tmp_path, capsys):
     target = str(tmp_path / "missing-dir" / "x.json")
-    argv = ["matroid", "dual", "--file", u24_file, "--out", target]
-    assert _exit_one(argv, capsys)["error"] == "UnwritableFile"
-    argv = ["spike", "build", "--t", "4", "--picks", "0011,1100", "--out", target]
-    assert _exit_one(argv, capsys)["error"] == "UnwritableFile"
+    for argv in (
+        ["matroid", "dual", "--file", u24_file],
+        ["spike", "build", "--t", "4", "--picks", "0011,1100"],
+        ["sp", "exminors", "--n", "8", "--k", "3"],
+        ["sk", "exminors", "--t", "6", "--k", "2"],
+    ):
+        assert _exit_one(argv + ["--out", target], capsys)["error"] == "UnwritableFile"
+
+
+# each list command over its sizes at one bound, empty lists included (sk
+# exminors --t 7 --k 2, sp exminors --n 5 --k 3); from k = 4 the sizes stop
+# at the cap, and at k = 6 below it (t = 17 alone takes over 20 s)
+_LIST_RUNS = [
+    *(("sp exminors --n {} --k %d" % k, range(5, 13)) for k in (1, 2, 3)),
+    ("sp exminors --n {} --k 4", range(6, 10)),
+    ("sk exminors --t {} --k 2", range(6, 10)),
+    ("sk exminors --t {} --k 3", range(8, 61)),
+    ("sk exminors --t {} --k 4", range(10, 14)),
+    ("sk exminors --t {} --k 5", range(12, 16)),
+    ("sk exminors --t {} --k 6", range(14, 17)),
+    ("sk exminors --t {} --k 7", range(16, 18)),
+]
+
+
+@pytest.mark.parametrize("template, sizes", _LIST_RUNS, ids=[t for t, _ in _LIST_RUNS])
+def test_list_documents_are_json_dumps_of_their_records(
+    template, sizes, tmp_path, capsys
+):
+    # written one record at a time, a list document keeps json.dumps's bytes
+    # for the decoded list, on stdout and in --out; the --out run reuses the
+    # records of the stdout run, since the writer is what is under test
+    sp = template.startswith("sp")
+    name = "sp_excluded_minors" if sp else "sk_excluded_minor_classes"
+    out = tmp_path / "list.json"
+    texts = []
+    with mock.patch.object(cli, name, functools.cache(getattr(cli, name))):
+        for size in sizes:
+            argv = template.format(size).split()
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+            assert texts[-1] == json.dumps(json.loads(texts[-1])) + "\n"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == texts[-1]
+    assert any(text != "[]\n" for text in texts)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["sk", "exminors", "--t", "851", "--k", "3"], "TooLarge"),
+        (["sp", "exminors", "--n", "17", "--k", "3"], "BoundTooLarge"),
+    ],
+)
+def test_refused_list_command_leaves_no_out_file(argv, error, tmp_path, capsys):
+    out = tmp_path / "none.json"
+    assert _exit_one(argv + ["--out", str(out)], capsys)["error"] == error
+    assert not out.exists()
+
+
+def test_list_document_peak_memory_stays_below_its_size(tmp_path):
+    # the records are written as their own JSON, not decoded into one list
+    # and encoded again as a whole document (which peaked at five times the
+    # file); the untraced first run fills the caches of this half-size
+    argv = ["sk", "exminors", "--t", "150", "--k", "3", "--out", str(tmp_path / "f")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "f").stat().st_size
 
 
 @pytest.mark.parametrize(
@@ -297,9 +372,22 @@ def test_unwritable_out_exits_cleanly(u24_file, tmp_path, capsys):
         ["slope", "--source", "eqn1", "--k", "-2", "--range", "1..10"],
         ["slope", "--source", "eqn1", "--k", "-1", "--range", "1..10"],
         ["sp", "exminors", "--n", "-5", "--k", "2"],
+        ["sk", "exminors", "--t", "-5", "--k", "3"],
+        ["sk", "exminors", "--t", "10", "--k", "-1"],
+        ["slope", "--source", "eqn1", "--k", "3", "--range=-5..40"],
+        ["slope", "--source", "eqn2", "--k", "3", "--range=-5..40"],
+        ["slope", "--source", "eqn2", "--k", "-1", "--range", "1..10"],
+        ["spike", "build", "--t", "-3"],
+        # {spike} is a t = 8 spike file: 16 elements, past full verification's
+        # 14, which full mode used to check before the bound
+        ["spike", "verify", "--file", "{spike}", "--k", "-1", "--mode", "structural"],
+        ["spike", "verify", "--file", "{spike}", "--k", "-1", "--mode", "full"],
     ],
 )
-def test_negative_sizes_and_bounds_exit_cleanly(argv, capsys):
+def test_negative_sizes_and_bounds_exit_cleanly(argv, tmp_path, capsys):
+    spike_file = tmp_path / "spike.json"
+    spike_file.write_text(spikespec_to_json(spike_spec(8, [])), encoding="utf-8")
+    argv = [word.replace("{spike}", str(spike_file)) for word in argv]
     assert _exit_one(argv, capsys)["error"] == "OutOfRange"
 
 
