@@ -23,7 +23,7 @@ from .biasedlift import (
     strata_total,
 )
 from .kernel import MatroidError, OutOfRange
-from .sparsepaving import TooSmall, census_pk, exminor_shards, sp_excluded_minors
+from .sparsepaving import TooSmall, census_pk, exminor_shards, sweep_excluded_minors
 
 
 class DegenerateSeries(MatroidError):
@@ -55,18 +55,21 @@ def gamma_pk_table(k: int, sizes: range) -> list[GammaRow]:
     """Boundary ratios for the sparse paving class at each size.
 
     Member counts are exact census values; excluded-minor counts come from
-    the band sweep sp_excluded_minors and are lower bounds.
+    the band sweep, one sweep_excluded_minors call for every size, and are
+    lower bounds.
     """
     if not isinstance(sizes, range) or sizes.step < 0:
         raise OutOfRange("sizes must be an ascending range")
     # the last size meets the sweep's caps first; a negative one reaches census_pk
     exminor_shards(max([0, *sizes[-1:]]), k)
-    rows = []
-    for n in sizes:
-        m = sum(row.count for row in census_pk(n, k))
-        x = len(sp_excluded_minors(n, k))
-        rows.append(GammaRow(n, m, "exact", x, "lower", _ratio(x, m)))
-    return rows
+    # every census first, so a size census_pk refuses is refused before the
+    # sweep, and then one sweep over all sizes
+    members = [sum(row.count for row in census_pk(n, k)) for n in sizes]
+    found = sweep_excluded_minors(sizes, k)
+    return [
+        GammaRow(n, m, "exact", len(x), "lower", _ratio(len(x), m))
+        for n, m, x in zip(sizes, members, found)
+    ]
 
 
 def gamma_sk_table(k: int, half_sizes: range) -> list[GammaRow]:

@@ -12,16 +12,18 @@ equation over index subsets.
 
 Census strata and excluded-minor candidates come from one chain of
 canonical cell vectors grown one member at a time, so no labelled vector
-is ever listed; every candidate is still confirmed by the kernel's
-definition of an excluded minor.
+is ever listed.  Every candidate of rank r <= n/2 is still confirmed by
+the kernel's definition of an excluded minor; the ranks above the middle
+are their duals, and the census counts them by duality too.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain, groupby
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from ._caps import SP_CENSUS_N, SP_EXMINORS_N, SWEEP_N
 from ._lazy import np
@@ -413,9 +415,13 @@ def census_pk(n: int, k: int) -> list[CensusRow]:
     if n > cap:
         raise BoundTooLarge(f"census caps at n = {cap} at k = {k}")
     counts = [0] * k
-    for r in range(1, n):
+    # complementing the members maps the classes of rank r onto those of
+    # rank n - r (see _dual_witnesses), so the ranks below the middle count
+    # twice and the middle rank once
+    for r in range(1, n // 2 + 1):
+        times = 1 if 2 * r == n else 2
         for i, level in enumerate(_family_levels(n, r, k, k)):
-            counts[i] += len(level)
+            counts[i] += times * len(level)
     return [CensusRow(n, k, 0, n + 1)] + [
         CensusRow(n, k, m, c) for m, c in enumerate(counts, 1)
     ]
@@ -584,12 +590,48 @@ def exminor_shard(shard: tuple[int, int, int]) -> list[CHFamily]:
     return verified
 
 
+def _dual_witnesses(found: list[CHFamily]) -> list[CHFamily]:
+    """exminor_shard's witnesses at rank n - r, from its witnesses at rank r.
+
+    The dual of a sparse paving matroid of rank r is sparse paving of rank
+    n - r with the complements as its circuit-hyperplanes (Oxley, Matroid
+    Theory, 2nd ed.), and a minor's dual is the dual's minor, so the class
+    and its excluded minors are closed under duality.  Complementing every
+    member takes cell I to cell ~I, so the dual's cell vector is the
+    vector reversed, and degree d becomes m - d, keeping the band
+    [m - k, k].  One _lexmin_classes call per member count makes the
+    reversed vectors canonical and sorts them, as exminor_shard lists them.
+    """
+    duals = []
+    for m, group in groupby(found, key=lambda f: f.k):
+        rows = [_cells(f.chs, f.n)[::-1] for f in group]
+        classes = _lexmin_classes(rows, _perm_cell_maps(m))
+        duals += [realize_signature(VennSignature(m, cells)) for cells in classes]
+    return duals
+
+
+def sweep_excluded_minors(sizes: Sequence[int], k: int) -> list[list[CHFamily]]:
+    """sp_excluded_minors at each size, every size's kernel-confirmed
+    shards, those of ranks r <= n/2, in one run_sharded call; each rank
+    above the middle is derived from its dual rank by _dual_witnesses."""
+    shards = [exminor_shards(n, k) for n in sizes]
+    low = [s for row in shards for s in row if 2 * s[2] <= s[0]]
+    found = dict(zip(low, run_sharded(exminor_shard, low)))
+    tables = []
+    for row in shards:
+        fams = [
+            found[(n, k, r)] if 2 * r <= n else _dual_witnesses(found[(n, k, n - r)])
+            for n, _, r in row
+        ]
+        tables.append(sorted(chain.from_iterable(fams), key=lambda f: f.k))
+    return tables
+
+
 def sp_excluded_minors(n: int, k: int) -> list[CHFamily]:
     """One witness family per isomorphism class of sparse paving excluded
     minors for the at-most-k class, by member count, rank, then canonical
     order."""
-    found = run_sharded(exminor_shard, exminor_shards(n, k))
-    return sorted((f for fams in found for f in fams), key=lambda f: f.k)
+    return sweep_excluded_minors([n], k)[0]
 
 
 # -- serialization ------------------------------------------------------------

@@ -785,7 +785,8 @@ def _env(threads: str) -> dict:
     return env
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+# int() would read "1_0" as 10 and an Arabic-Indic 2 as 2
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "1_0", "\u0662"])
 def test_bad_thread_count_exits_one(threads):
     argv = ["sp", "exminors", "--n", "6", "--k", "1"]
     done = subprocess.run(

@@ -7,7 +7,8 @@ counts are confirmed by machinery that never looks at Venn cells.
 
 import json
 import random
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import chain, permutations, product
 from math import comb
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _documents import misfits_read
+from fractalcensus import sparsepaving
 from fractalcensus.biasedlift import _trun_perm_maps
 from fractalcensus.bitset import bits, mask_from, subset_masks
 from fractalcensus.kernel import (
@@ -42,6 +44,7 @@ from fractalcensus.sparsepaving import (
     _allocate,
     _cells,
     _composition_counts,
+    _dual_witnesses,
     _compositions,
     _family_levels,
     _lexmin_classes,
@@ -61,10 +64,12 @@ from fractalcensus.sparsepaving import (
     collar_solutions,
     canonical_signature,
     count_signatures,
+    exminor_shard,
     pk_member,
     realize_signature,
     signature_realizable,
     sp_excluded_minors,
+    sweep_excluded_minors,
     validate_chfamily,
     venn_signature,
 )
@@ -963,3 +968,63 @@ def test_sp_excluded_minors_at_bound_four():
     assert [f.k for f in found] == sorted(f.k for f in found)
     # witnesses are allocated from canonical cell vectors, one per class
     assert len({venn_signature(f) for f in found}) == 118
+
+
+# -- duality: the ranks above the middle from those below ----------------------
+
+
+def _census_every_rank(n: int, k: int) -> list[CensusRow]:
+    """census_pk before duality: the levels of every rank 1..n-1 grown."""
+    counts = [0] * k
+    for r in range(1, n):
+        for i, level in enumerate(_family_levels(n, r, k, k)):
+            counts[i] += len(level)
+    return [CensusRow(n, k, 0, n + 1)] + [
+        CensusRow(n, k, m, c) for m, c in enumerate(counts, 1)
+    ]
+
+
+# every n <= 24 at k <= 3; from k = 4 the sizes whose all-rank loop takes
+# about a second, the limits of _caps.SP_CENSUS_N taking minutes
+@pytest.mark.parametrize("k, top", [(0, 24), (1, 24), (2, 24), (3, 24), (4, 18), (5, 11), (6, 8)])
+def test_census_pk_by_duality_matches_every_rank(k, top):
+    for n in range(top + 1):
+        assert census_pk(n, k) == _census_every_rank(n, k), n
+
+
+@lru_cache(maxsize=None)
+def _kernel_shards(n: int, k: int) -> dict[int, list[CHFamily]]:
+    """exminor_shard's kernel-confirmed witnesses at every rank 2..n-2."""
+    return {r: exminor_shard((n, k, r)) for r in range(2, n - 1)}
+
+
+_SWEEP_SIZES = {1: range(13), 2: range(13), 3: range(13), 4: range(10)}
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for k, sizes in _SWEEP_SIZES.items() for n in sizes]
+)
+def test_dual_witnesses_equal_the_kernel_shard(n, k):
+    # the middle rank of an even n is its own dual
+    shards = _kernel_shards(n, k)
+    for r in range(2, n // 2 + 1):
+        assert _dual_witnesses(shards[r]) == shards[n - r], r
+
+
+@pytest.mark.parametrize("k", sorted(_SWEEP_SIZES))
+def test_sweep_confirms_low_ranks_and_derives_the_rest(k, monkeypatch):
+    # inline, so the shards the sweep runs can be recorded
+    monkeypatch.setenv("FRACTAL_THREADS", "1")
+    ran = []
+
+    def shard(s):
+        ran.append(s)
+        return _kernel_shards(s[0], k)[s[2]]
+
+    monkeypatch.setattr(sparsepaving, "exminor_shard", shard)
+    sizes = _SWEEP_SIZES[k]
+    tables = sweep_excluded_minors(sizes, k)
+    assert ran == [(n, k, r) for n in sizes for r in range(2, n // 2 + 1)]
+    for n, table in zip(sizes, tables):
+        every_rank = chain.from_iterable(_kernel_shards(n, k).values())
+        assert table == sorted(every_rank, key=lambda f: f.k), n
